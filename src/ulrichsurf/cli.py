@@ -9,6 +9,7 @@ verification command found a failing check, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import catalog
 from .classify import classify
 from .enumeration import enumerate_bounded, enumerate_rank2_exact
-from .errors import InvariantViolation, RankTooHigh, UlrichSurfError
+from .errors import InvariantViolation, RankTooHigh, UlrichSurfError, UnreadableFile
 from .invariants import ChernData, derived_invariants, embedding_sanity
 from .lattice import DivisorClass
 from .ulrich import (
@@ -44,7 +45,17 @@ def _load_surface(args):
     if args.builtin:
         return catalog.builtin_surface(args.builtin)
     if args.surface:
-        return catalog.parse_surface(Path(args.surface).read_text())
+        try:
+            text = Path(args.surface).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise UnreadableFile(
+                f"cannot read surface file {args.surface!r}: {exc.strerror or exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise UnreadableFile(
+                f"surface file {args.surface!r} is not UTF-8 text: {exc.reason}"
+            ) from exc
+        return catalog.parse_surface(text)
     raise UlrichSurfError("a surface is required: use --builtin NAME or --surface FILE")
 
 
@@ -201,8 +212,17 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_USAGE: argparse's own code 2
+    is EXIT_CHECK_FAILED here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ulrichsurf",
         description="Numerical Ulrich-bundle conditions on polarized surfaces",
     )
@@ -275,9 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process: built on first use, then reused.
+    Parsing leaves no state in it, so each run sees a fresh parse."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import (
     BoxTooLarge,
@@ -82,7 +83,7 @@ def enumerate_rank2_exact(S: PolarizedSurface) -> list[DivisorClass]:
     rank = S.lattice.rank
     if rank > 2:
         raise RankTooHigh(f"exact enumeration needs rank <= 2, got {rank}")
-    w = S.lattice.gram_apply(S.h)
+    w = S.gram_h
     if all(wi == 0 for wi in w):
         raise DegenerateForm("pairing with h is identically zero")
     required = _required_linear(S)
@@ -151,11 +152,17 @@ def enumerate_bounded(
     The linear equation is used to solve one coordinate exactly, so the
     search iterates over the remaining rank - 1 coordinates.  Raises
     BoxTooLarge when that iteration count exceeds the ceiling.
+
+    Everything that does not depend on the box point (gram . h, gram . K,
+    the right-hand sides, the pivot) is computed once.  A box point then
+    costs one integer divmod of the linear residue, and a point that passes
+    it one integer test of D.G.D - D.K == 2(h^2 - chi).  Only solutions
+    become DivisorClass objects, each certified by line_numeric_check.
     """
     if bound < 1:
         raise InvalidPolarization(f"bound must be >= 1, got {bound}")
     rank = S.lattice.rank
-    w = S.lattice.gram_apply(S.h)
+    w = S.gram_h
     if all(wi == 0 for wi in w):
         raise DegenerateForm("pairing with h is identically zero")
     required = _required_linear(S)
@@ -169,20 +176,24 @@ def enumerate_bounded(
         )
     # Pivot on the largest coefficient of the linear form for best pruning.
     pivot = max(range(rank), key=lambda i: abs(w[i]))
-    others = [i for i in range(rank) if i != pivot]
+    w_pivot = w[pivot]
+    w_others = [w[i] for i in range(rank) if i != pivot]
+    gram = S.lattice.gram
+    k = S.lattice.gram_K
+    c = 2 * (S.h2 - S.chi)
     solutions = []
+    # the sums are lattice.dot written out: this loop runs once per box point
     for values in product(range(-bound, bound + 1), repeat=rank - 1):
-        rest = r - sum(w[i] * v for i, v in zip(others, values))
-        if rest % w[pivot] != 0:
+        x, rest = divmod(r - sum(map(mul, w_others, values)), w_pivot)
+        if rest or abs(x) > bound:
             continue
-        x = rest // w[pivot]
-        if abs(x) > bound:
+        coeffs = values[:pivot] + (x,) + values[pivot:]
+        # D.G.D - D.K as D . (G.D - k)
+        gD_minus_k = [sum(map(mul, row, coeffs)) - kj for row, kj in zip(gram, k)]
+        if sum(map(mul, coeffs, gD_minus_k)) != c:
             continue
-        coeffs = [0] * rank
-        for i, v in zip(others, values):
-            coeffs[i] = v
-        coeffs[pivot] = x
-        D = DivisorClass(tuple(coeffs))
-        if line_numeric_check(S, D).passed:
-            solutions.append(D)
+        D = DivisorClass(coeffs)
+        report = line_numeric_check(S, D)
+        assert report.passed, "box search produced a non-solution"
+        solutions.append(D)
     return sorted(solutions, key=lambda D: D.coeffs)

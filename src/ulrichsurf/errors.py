@@ -61,6 +61,10 @@ class ParseError(UlrichSurfError):
     """A surface document is not well-formed."""
 
 
+class UnreadableFile(UlrichSurfError):
+    """A surface document file could not be read or is not UTF-8 text."""
+
+
 class ValidationError(UlrichSurfError):
     """A surface document failed validation.
 

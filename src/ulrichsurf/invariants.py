@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Optional
 
@@ -20,7 +21,7 @@ from .errors import (
     NonIntegralGenus,
     ValidationError,
 )
-from .lattice import DivisorClass, DivisorLike, IntersectionLattice, as_divisor
+from .lattice import DivisorClass, DivisorLike, IntersectionLattice, as_divisor, dot
 
 __all__ = [
     "SurfaceKind",
@@ -125,6 +126,13 @@ class HypothesisFlags:
 
 @dataclass(frozen=True)
 class PolarizedSurface:
+    """A lattice with a polarization h and the discrete invariants.
+
+    h^2, h.K, K^2, the sectional genus and gram . h are computed on first
+    use and kept on the instance (``functools.cached_property``); they are
+    not fields, so equality and hashing ignore them.
+    """
+
     lattice: IntersectionLattice
     h: DivisorClass
     pg: int = 0
@@ -139,22 +147,27 @@ class PolarizedSurface:
         self.lattice.check_dimension(self.h)
         if self.pg < 0 or self.q < 0:
             raise ValidationError("pg/q", "must be non-negative")
-        if self.lattice.pair(self.h, self.h) <= 0:
+        if self.h2 <= 0:
             raise ValidationError("h", "a very ample class must have h^2 > 0")
 
     @property
     def K(self) -> DivisorClass:
         return self.lattice.canonical
 
-    @property
+    @cached_property
+    def gram_h(self) -> tuple[int, ...]:
+        """gram . h: D.h is then dot(D, gram_h), O(rank)."""
+        return self.lattice.gram_apply(self.h)
+
+    @cached_property
     def h2(self) -> int:
         return self.lattice.pair(self.h, self.h)
 
-    @property
+    @cached_property
     def hK(self) -> int:
         return self.lattice.pair(self.h, self.K)
 
-    @property
+    @cached_property
     def K2(self) -> int:
         return self.lattice.pair(self.K, self.K)
 
@@ -162,7 +175,7 @@ class PolarizedSurface:
     def chi(self) -> int:
         return chi_structure(self.pg, self.q)
 
-    @property
+    @cached_property
     def pi(self) -> int:
         """Sectional genus (h^2 + h.K)/2 + 1."""
         num = self.h2 + self.hK
@@ -259,7 +272,7 @@ def derived_invariants(S: PolarizedSurface) -> DerivedInvariants:
 def riemann_roch_chi(S: PolarizedSurface, F: ChernData) -> int:
     """chi(F) = rank . chi(O_S) + c1.(c1 - K)/2 - c2, exactly."""
     c1 = S.lattice.check_dimension(F.c1)
-    half = Fraction(S.pair(c1, c1) - S.pair(c1, S.K), 2)
+    half = Fraction(S.pair(c1, c1) - dot(c1.coeffs, S.lattice.gram_K), 2)
     value = F.rank * S.chi + half - F.c2
     if value.denominator != 1:
         raise NonIntegralChi("c1.(c1 - K) is odd")
@@ -272,7 +285,7 @@ def chern_twist(S: PolarizedSurface, F: ChernData, t: int) -> ChernData:
     new_c1 = c1 + (F.rank * t) * S.h
     new_c2 = (
         F.c2
-        + (F.rank - 1) * t * S.pair(c1, S.h)
+        + (F.rank - 1) * t * dot(c1.coeffs, S.gram_h)
         + comb(F.rank, 2) * t * t * S.h2
     )
     return ChernData(F.rank, new_c1, new_c2)

@@ -9,6 +9,8 @@ arithmetic uses Python's arbitrary-precision integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import AsymmetricGram, DimensionMismatch, ParityViolation
@@ -16,6 +18,7 @@ from .errors import AsymmetricGram, DimensionMismatch, ParityViolation
 __all__ = [
     "DivisorClass",
     "IntersectionLattice",
+    "dot",
     "make_lattice",
     "hirzebruch_lattice",
     "blowup_p2_lattice",
@@ -58,6 +61,11 @@ class DivisorClass:
 DivisorLike = Union[DivisorClass, Sequence[int]]
 
 
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Integer dot product; with v = gram . E it gives the pairing u.E."""
+    return sum(map(mul, u, v))
+
+
 def as_divisor(value: DivisorLike) -> DivisorClass:
     if isinstance(value, DivisorClass):
         return value
@@ -94,19 +102,18 @@ class IntersectionLattice:
     def pair(self, D: DivisorLike, E: DivisorLike) -> int:
         """Intersection product D^T . gram . E."""
         D = self.check_dimension(D)
-        E = self.check_dimension(E)
-        return sum(
-            d * g * e
-            for d, row in zip(D.coeffs, self.gram)
-            for g, e in zip(row, E.coeffs)
-        )
+        e = self.check_dimension(E).coeffs
+        return sum(d * dot(row, e) for d, row in zip(D.coeffs, self.gram) if d)
 
     def gram_apply(self, D: DivisorLike) -> tuple[int, ...]:
         """The vector gram . D; its dot product with E gives pair(E, D)."""
         D = self.check_dimension(D)
-        return tuple(
-            sum(g * d for g, d in zip(row, D.coeffs)) for row in self.gram
-        )
+        return tuple(dot(row, D.coeffs) for row in self.gram)
+
+    @cached_property
+    def gram_K(self) -> tuple[int, ...]:
+        """gram . K, computed once: D.K is then dot(D, gram_K), O(rank)."""
+        return self.gram_apply(self.canonical)
 
 
 def make_lattice(
@@ -136,9 +143,9 @@ def make_lattice(
             if rows[i][j] != rows[j][i]:
                 raise AsymmetricGram(f"gram[{i}][{j}] != gram[{j}][{i}]")
     lattice = IntersectionLattice(rows, K, labels)
-    for i in range(rank):
-        basis = DivisorClass(tuple(1 if j == i else 0 for j in range(rank)))
-        if (lattice.pair(basis, basis) + lattice.pair(basis, K)) % 2 != 0:
+    # b_i.b_i + b_i.K = gram[i][i] + (gram . K)[i]: O(rank^2) in all.
+    for i, (row, gK) in enumerate(zip(rows, lattice.gram_K)):
+        if (row[i] + gK) % 2 != 0:
             raise ParityViolation(
                 f"basis vector {labels[i]}: b.b + b.K is odd"
             )

@@ -23,7 +23,7 @@ from .invariants import (
     derived_invariants,
     riemann_roch_chi,
 )
-from .lattice import DivisorClass, DivisorLike, as_divisor
+from .lattice import DivisorClass, DivisorLike, as_divisor, dot
 
 __all__ = [
     "DISCLAIMER",
@@ -83,8 +83,8 @@ def line_numeric_check(S: PolarizedSurface, D: DivisorLike) -> UlrichCheckReport
     """
     D = S.lattice.check_dimension(as_divisor(D))
     required_linear = Fraction(3 * S.h2 + S.hK, 2)
-    actual_linear = S.pair(D, S.h)
-    required_c2 = Fraction(2 * (S.h2 - S.chi) + S.pair(D, S.K))
+    actual_linear = dot(D.coeffs, S.gram_h)
+    required_c2 = Fraction(2 * (S.h2 - S.chi) + dot(D.coeffs, S.lattice.gram_K))
     actual_c2 = S.pair(D, D)
     return UlrichCheckReport(
         linear_ok=actual_linear == required_linear,
@@ -104,9 +104,9 @@ def rank_numeric_check(S: PolarizedSurface, F: ChernData) -> UlrichCheckReport:
     """
     c1 = S.lattice.check_dimension(F.c1)
     required_linear = Fraction(F.rank * (3 * S.h2 + S.hK), 2)
-    actual_linear = S.pair(c1, S.h)
+    actual_linear = dot(c1.coeffs, S.gram_h)
     required_c2 = (
-        Fraction(S.pair(c1, c1) - S.pair(c1, S.K), 2)
+        Fraction(S.pair(c1, c1) - dot(c1.coeffs, S.lattice.gram_K), 2)
         - F.rank * (S.h2 - S.chi)
     )
     return UlrichCheckReport(

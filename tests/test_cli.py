@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from ulrichsurf import cli
 from ulrichsurf.catalog import parse_surface, serialize_surface
 from ulrichsurf.cli import run
 
@@ -157,3 +159,126 @@ def test_bad_surface_file(capsys, tmp_path):
     code, _, err = invoke(capsys, "info", "--surface", str(path))
     assert code == 1
     assert "gram" in err
+
+
+# ---------------------------------------------------------------------------
+# Unreadable surface files
+
+
+def _assert_rejected(capsys, *argv):
+    """Exit 1, nothing on stdout, the error on stderr in the chosen format."""
+    for fmt in ("table", "json"):
+        code, out, err = invoke(capsys, *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        if fmt == "json":
+            error = json.loads(err)["error"]
+            assert error["category"] == "validation"
+            assert error["type"] == "UnreadableFile"
+        else:
+            assert err.startswith("error (UnreadableFile): ")
+            assert err.count("\n") == 1
+    return error["message"]
+
+
+def test_missing_surface_file(capsys, tmp_path):
+    message = _assert_rejected(capsys, "info", "--surface", str(tmp_path / "none.json"))
+    assert "none.json" in message
+
+
+def test_surface_path_is_a_directory(capsys, tmp_path):
+    _assert_rejected(capsys, "classify", "--surface", str(tmp_path))
+
+
+def test_surface_file_with_undecodable_bytes(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    message = _assert_rejected(capsys, "convert", "--surface", str(path))
+    assert "UTF-8" in message
+
+
+def test_surface_file_permission_denied(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "locked.json"
+    path.write_text("{}")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    # chmod does not stop a privileged user, so the refusal is simulated
+    monkeypatch.setattr(Path, "read_text", denied)
+    message = _assert_rejected(capsys, "info", "--surface", str(path))
+    assert "Permission denied" in message
+
+
+# ---------------------------------------------------------------------------
+# Usage errors and the shared parser
+
+
+def test_usage_error_exits_1_with_usage_on_stderr(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["check-line", "--builtin", "p2-1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ulrichsurf check-line")
+    assert "the following arguments are required: --divisor" in captured.err
+    for argv in (["enumerate", "--builtin", "p2-1", "--bound", "x"], ["no-such-command"], []):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 1
+        assert "usage: ulrichsurf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["info", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ulrichsurf")
+
+
+def _outcome(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SEQUENCE = (
+    ["classify", "--builtin", "bordiga", "--format", "json"],
+    ["enumerate", "--builtin", "p1xp1-2-3", "--bound", "6"],
+    ["info", "--builtin", "p1xp1-0-3", "--format", "json"],
+    ["check-line", "--builtin", "p2-1"],
+    ["check-line", "--builtin", "p1xp1-2-3", "--divisor", "1,5"],
+)
+
+
+def test_reused_parser_answers_each_call_as_if_alone(capsys):
+    alone = []
+    for argv in SEQUENCE:
+        cli._shared_parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    in_sequence = [_outcome(capsys, argv) for argv in SEQUENCE]
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 1, 1, 0]
+    assert json.loads(alone[0][1])["ulrich_wild"] == "true"
+    assert "count: 2\n" in alone[1][1]
+    assert json.loads(alone[2][2])["error"]["category"] == "validation"
+    assert alone[3][2].startswith("usage: ")
+
+
+def test_build_parser_runs_once_per_process(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    for argv in SEQUENCE * 4:
+        _outcome(capsys, argv)
+    assert len(calls) == 1
+    cli._shared_parser.cache_clear()

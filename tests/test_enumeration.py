@@ -1,6 +1,12 @@
-import pytest
+from fractions import Fraction
+from itertools import product
 
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from ulrichsurf import enumeration
 from ulrichsurf.catalog import (
+    builtin_surface,
     del_pezzo,
     hirzebruch_surface,
     p1xp1_surface,
@@ -13,10 +19,12 @@ from ulrichsurf.enumeration import (
 )
 from ulrichsurf.errors import (
     BoxTooLarge,
+    DegenerateForm,
     InvalidPolarization,
     RankTooHigh,
 )
-from ulrichsurf.lattice import DivisorClass
+from ulrichsurf.invariants import PolarizedSurface
+from ulrichsurf.lattice import DivisorClass, IntersectionLattice, make_lattice
 from ulrichsurf.ulrich import line_dual, line_numeric_check
 
 
@@ -105,3 +113,154 @@ def test_every_solution_passes_line_check():
     for S in [p1xp1_surface(3, 5), hirzebruch_surface(1, 1, 2)]:
         for D in enumerate_rank2_exact(S):
             assert line_numeric_check(S, D).passed
+
+
+# ---------------------------------------------------------------------------
+# The box search against its first form
+
+
+def reference_enumerate_bounded(S, bound):
+    """The bounded search as first written, kept as an oracle: every box
+    point that solves the linear equation becomes a DivisorClass and goes
+    through line_numeric_check."""
+    rank = S.lattice.rank
+    w = S.lattice.gram_apply(S.h)
+    if all(wi == 0 for wi in w):
+        raise DegenerateForm("pairing with h is identically zero")
+    required = Fraction(3 * S.h2 + S.hK, 2)
+    if required.denominator != 1:
+        return []
+    r = int(required)
+    pivot = max(range(rank), key=lambda i: abs(w[i]))
+    others = [i for i in range(rank) if i != pivot]
+    solutions = []
+    for values in product(range(-bound, bound + 1), repeat=rank - 1):
+        rest = r - sum(w[i] * v for i, v in zip(others, values))
+        if rest % w[pivot] != 0:
+            continue
+        x = rest // w[pivot]
+        if abs(x) > bound:
+            continue
+        coeffs = [0] * rank
+        for i, v in zip(others, values):
+            coeffs[i] = v
+        coeffs[pivot] = x
+        D = DivisorClass(tuple(coeffs))
+        if line_numeric_check(S, D).passed:
+            solutions.append(D)
+    return sorted(solutions, key=lambda D: D.coeffs)
+
+
+# One or more members of every built-in family, up to rank 9.
+SMALL_BUILTINS = (
+    ["p2-1", "p2-3", "p1xp1-2-3", "p1xp1-3-3", "hirzebruch-e1-a1-b2",
+     "hirzebruch-e2-a1-b3", "table1-row-1", "table1-row-2", "table1-row-3",
+     "table1-row-2-printed", "enriques-10", "kim-4-5", "kim-5-2"]
+    + [f"del-pezzo-{d}" for d in range(3, 10)]
+)
+
+
+def _small_bounds(rank, points=3**8):
+    """Bounds from 1 to 6 whose box has at most ``points`` points (always 1)."""
+    return [1] + [b for b in range(2, 7) if (2 * b + 1) ** (rank - 1) <= points]
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_bounded_matches_reference_on_builtins(name):
+    S = builtin_surface(name)
+    for bound in _small_bounds(S.lattice.rank):
+        assert enumerate_bounded(S, bound) == reference_enumerate_bounded(S, bound)
+
+
+def _fix_parity(gram, K):
+    """Adjust gram so that b.b + b.K is even for every basis vector b.
+
+    For K_i even, b_i.b_i + b_i.K flips with gram[i][i]; for K_i odd it is
+    the parity of the sum of gram[i][j] over the other j with K_j odd,
+    which toggling gram[i][last odd] fixes for all but the last odd index,
+    and that one follows because the sum over all of them is even."""
+    n = len(gram)
+    odd = [i for i in range(n) if K[i] % 2]
+    for i in odd[:-1]:
+        if sum(gram[i][j] for j in odd if j != i) % 2:
+            gram[i][odd[-1]] += 1
+            gram[odd[-1]][i] += 1
+    for i in range(n):
+        if K[i] % 2 == 0 and (gram[i][i] + sum(g * k for g, k in zip(gram[i], K))) % 2:
+            gram[i][i] += 1
+    return gram
+
+
+@st.composite
+def small_surfaces(draw):
+    rank = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = draw(entries)
+    K = draw(st.lists(entries, min_size=rank, max_size=rank))
+    h = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    lattice = make_lattice(_fix_parity(gram, K), K, [f"b{i}" for i in range(rank)])
+    assume(lattice.pair(h, h) > 0)
+    return PolarizedSurface(lattice=lattice, h=h)
+
+
+def _surface(gram, K, h):
+    return PolarizedSurface(
+        lattice=make_lattice(gram, K, [f"b{i}" for i in range(len(K))]), h=h
+    )
+
+
+@given(surface=small_surfaces(), bound=st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+# positive definite
+@example(surface=_surface([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], [1, 0, 0]), bound=2)
+@example(surface=_surface([[2, 1], [1, 2]], [0, 0], [1, 1]), bound=2)
+# degenerate: gram has a kernel
+@example(surface=_surface([[1, 1], [1, 1]], [1, 0], [1, 0]), bound=2)
+@example(surface=_surface([[1, 0, 0], [0, 0, 0], [0, 0, -1]], [-3, 0, 1], [1, 0, 0]), bound=2)
+def test_bounded_matches_reference_on_generated_lattices(surface, bound):
+    assert enumerate_bounded(surface, bound) == reference_enumerate_bounded(surface, bound)
+
+
+def test_box_too_large_before_any_search_work(monkeypatch):
+    S = del_pezzo(3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search work started")
+
+    monkeypatch.setattr(enumeration, "product", forbidden)
+    monkeypatch.setattr(enumeration, "line_numeric_check", forbidden)
+    with pytest.raises(BoxTooLarge):
+        enumerate_bounded(S, 100, iteration_ceiling=1000)
+
+
+# ---------------------------------------------------------------------------
+# Work-count guards: they count work rather than time it
+
+
+def _counting_pair(monkeypatch):
+    calls = []
+    pair = IntersectionLattice.pair
+
+    def counted(self, D, E):
+        calls.append(1)
+        return pair(self, D, E)
+
+    monkeypatch.setattr(IntersectionLattice, "pair", counted)
+    return calls
+
+
+def test_bounded_pairs_per_request_and_solution_not_per_box_point(monkeypatch):
+    calls = _counting_pair(monkeypatch)
+    seen = []
+    for bound in (2, 3):
+        S = del_pezzo(5)
+        calls.clear()
+        solutions = enumerate_bounded(S, bound)
+        # h.K once per request (h^2 is cached by the constructor), D^2
+        # once per solution in line_numeric_check
+        assert len(calls) == 1 + len(solutions)
+        seen.append(len(solutions))
+    assert seen[0] < seen[1]

@@ -1,12 +1,18 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ulrichsurf.catalog import (
+    builtin_surface,
     del_pezzo,
     p1xp1_surface,
     p2_surface,
+    parse_surface,
     table1_row,
 )
+from ulrichsurf.classify import classify
+from ulrichsurf.enumeration import enumerate_bounded
 from ulrichsurf.errors import MissingHypothesis
 from ulrichsurf.invariants import (
     ChernData,
@@ -20,6 +26,7 @@ from ulrichsurf.invariants import (
     riemann_roch_chi,
 )
 from ulrichsurf.lattice import DivisorClass, make_lattice
+from ulrichsurf.ulrich import line_numeric_check, special_rank2_chern
 
 
 def test_chi_structure():
@@ -154,3 +161,83 @@ def test_kind_string_round_trip():
     ]
     for kind in kinds:
         assert SurfaceKind.from_string(kind.to_string()) == kind
+
+
+# ---------------------------------------------------------------------------
+# Cached invariants
+
+
+CACHE_BUILTINS = (
+    ["p2-1", "p2-4", "p1xp1-2-3", "hirzebruch-e1-a1-b2", "hirzebruch-e3-a2-b7",
+     "bordiga", "table1-row-2-printed", "enriques-10", "kim-4-9", "kim-6-9"]
+    + [f"table1-row-{n}" for n in range(1, 8)]
+    + [f"del-pezzo-{d}" for d in range(3, 10)]
+)
+
+
+def _pairing(gram, u, v):
+    """u^T . gram . v entry by entry, independent of IntersectionLattice."""
+    n = len(gram)
+    return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def _assert_caches_match_pairings(S):
+    L = S.lattice
+    G, h, K = L.gram, S.h.coeffs, S.K.coeffs
+    basis = [tuple(int(j == i) for j in range(L.rank)) for i in range(L.rank)]
+    fresh_h2, fresh_hK = _pairing(G, h, h), _pairing(G, h, K)
+    fresh = (
+        fresh_h2,
+        fresh_hK,
+        _pairing(G, K, K),
+        (fresh_h2 + fresh_hK) // 2 + 1,
+        tuple(_pairing(G, b, h) for b in basis),
+        tuple(_pairing(G, b, K) for b in basis),
+    )
+    assert (L.pair(h, h), L.pair(h, K), L.pair(K, K)) == fresh[:3]
+    assert (S.h2, S.hK, S.K2, S.pi, S.gram_h, L.gram_K) == fresh
+    # a second read returns the stored values
+    assert (S.h2, S.hK, S.K2, S.pi, S.gram_h, L.gram_K) == fresh
+
+
+@pytest.mark.parametrize("name", CACHE_BUILTINS)
+def test_cached_invariants_equal_fresh_pairings_on_builtins(name):
+    _assert_caches_match_pairings(builtin_surface(name))
+
+
+def test_cached_invariants_equal_fresh_pairings_on_skewed_document(skewed):
+    doc = skewed(40, 11)
+    S = parse_surface(json.dumps(doc))
+    assert S.lattice.rank == 40
+    assert any(S.lattice.gram[i][j] for i in range(40) for j in range(40) if i != j)
+    _assert_caches_match_pairings(S)
+
+
+def test_filled_caches_keep_equality_and_hash():
+    S, T = builtin_surface("bordiga"), builtin_surface("bordiga")
+    before = hash(S)
+    assert S == T and hash(T) == before
+    _assert_caches_match_pairings(S)
+    assert S == T and T == S
+    assert hash(S) == hash(T) == before
+    assert S != builtin_surface("table1-row-3")
+
+
+def test_h2_is_computed_once_per_surface(monkeypatch):
+    prop = PolarizedSurface.__dict__["h2"]
+    calls = []
+    compute = prop.func
+
+    def counted(self):
+        calls.append(self)
+        return compute(self)
+
+    monkeypatch.setattr(prop, "func", counted)
+    S = del_pezzo(5)
+    derived_invariants(S)
+    embedding_sanity(S)
+    classify(S)
+    special_rank2_chern(S)
+    enumerate_bounded(S, 2)
+    line_numeric_check(S, [3, -1, -1, -1, -1])
+    assert calls == [S]

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from ulrichsurf.errors import AsymmetricGram, DimensionMismatch, ParityViolation
 from ulrichsurf.lattice import (
     DivisorClass,
+    IntersectionLattice,
     blowup_p2_lattice,
     hirzebruch_lattice,
     make_lattice,
@@ -121,3 +122,35 @@ def test_divisor_arithmetic():
     assert (3 * D).coeffs == (3, 6)
     assert (-D).coeffs == (-1, -2)
     assert DivisorClass.zero(3).coeffs == (0, 0, 0)
+
+
+def reference_parity_message(gram, K, labels):
+    """The parity check as first written, two full pairings per basis
+    vector; returns the ParityViolation message it raised, or None."""
+    lattice = IntersectionLattice(
+        tuple(tuple(row) for row in gram), DivisorClass(tuple(K)), tuple(labels)
+    )
+    rank = len(gram)
+    for i in range(rank):
+        basis = DivisorClass(tuple(1 if j == i else 0 for j in range(rank)))
+        if (lattice.pair(basis, basis) + lattice.pair(basis, K)) % 2 != 0:
+            return f"basis vector {labels[i]}: b.b + b.K is odd"
+    return None
+
+
+def test_parity_violation_names_the_same_vector_on_rank_50(skewed):
+    doc = skewed(50, 7)
+    gram, K, labels = doc["gram"], doc["K"], doc["basis"]
+    make_lattice(gram, K, labels)
+    # gram[i][i] += 1 flips b_i.b_i + b_i.K exactly when K_i is even
+    even = [i for i, k in enumerate(K) if k % 2 == 0]
+    assert len(even) >= 3
+    for broken in (even[-1:], even[-3:], even[:1]):
+        bad = [list(row) for row in gram]
+        for i in broken:
+            bad[i][i] += 1
+        expected = reference_parity_message(bad, K, labels)
+        assert expected == f"basis vector {labels[broken[0]]}: b.b + b.K is odd"
+        with pytest.raises(ParityViolation) as info:
+            make_lattice(bad, K, labels)
+        assert str(info.value) == expected
