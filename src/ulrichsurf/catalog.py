@@ -439,6 +439,11 @@ def parse_surface(text: str) -> PolarizedSurface:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal over the interpreter's digit limit
+        raise ParseError(f"invalid JSON number: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     for key in doc:

@@ -3,7 +3,8 @@
 Every subcommand renders the same computed object either as a plain text
 table or as JSON; the table is a rendering of the JSON dictionary, never a
 recomputation.  Exit codes: 0 success, 1 usage or validation error, 2 a
-verification command found a failing check, 3 internal invariant violation.
+verification command found a failing check, 3 internal error (a failed
+invariant check or any other unexpected exception).
 """
 
 from __future__ import annotations
@@ -312,6 +313,10 @@ def run(argv: list[str] | None = None) -> int:
     except UlrichSurfError as exc:
         _report_error(args, exc, "validation")
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug, not bad input: reported like any error, never as a traceback
+        _report_error(args, exc, "internal")
+        return EXIT_INTERNAL
 
 
 def _report_error(args, exc: Exception, category: str) -> None:

@@ -11,9 +11,9 @@ lexicographically by coefficient vector.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, islice, product, repeat
 from math import gcd, isqrt
-from operator import mul
+from operator import add, floordiv, mod, mul, not_, sub
 
 from .errors import (
     BoxTooLarge,
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 DEFAULT_ITERATION_CEILING = 10**8
+
+# candidates decoded and tested per column pass of the box search
+_CHUNK = 4096
 
 
 def _required_linear(S: PolarizedSurface) -> Fraction:
@@ -149,15 +152,28 @@ def enumerate_bounded(
 ) -> list[DivisorClass]:
     """Exhaustive search for solutions with all coefficients in [-bound, bound].
 
-    The linear equation is used to solve one coordinate exactly, so the
-    search iterates over the remaining rank - 1 coordinates.  Raises
-    BoxTooLarge when that iteration count exceeds the ceiling.
+    The linear equation is used to solve one coordinate (the pivot, where
+    |D.h| has its largest coefficient) exactly, so the search visits every
+    point y of the box [-bound, bound]^(rank - 1) of the other coordinates.
+    Raises BoxTooLarge, before any search work, when that count exceeds the
+    ceiling.
 
-    Everything that does not depend on the box point (gram . h, gram . K,
-    the right-hand sides, the pivot) is computed once.  A box point then
-    costs one integer divmod of the linear residue, and a point that passes
-    it one integer test of D.G.D - D.K == 2(h^2 - chi).  Only solutions
-    become DivisorClass objects, each certified by line_numeric_check.
+    Three stages, all in exact integer arithmetic:
+
+    1. Every box point, in builtins.  itertools.product draws the box once,
+       over one list of weighted values w_i * v per non-pivot coordinate, in
+       the order of product(range(-bound, bound + 1), repeat=rank - 1), and
+       map(sum, ...) gives each point's w.y.  The point is a candidate when
+       w.y lies in {r - w_pivot * x : |x| <= bound}, which is exactly when
+       the pivot x = (r - w.y) / w_pivot is an integer inside the box.
+    2. Candidates, column-wise.  The box indices of the candidates are taken
+       in chunks of at most _CHUNK, decoded into one column of values per
+       coordinate, the pivot column divided out exactly, and
+       D.G.D - D.K - 2(h^2 - chi) evaluated one term at a time over the
+       nonzero entries of the upper triangle of the gram matrix and of
+       gram . K.  Memory is bounded by the chunk, not by the box.
+    3. Solutions.  Each zero becomes a DivisorClass, certified by
+       line_numeric_check; the list is returned sorted.
     """
     if bound < 1:
         raise InvalidPolarization(f"bound must be >= 1, got {bound}")
@@ -177,23 +193,47 @@ def enumerate_bounded(
     # Pivot on the largest coefficient of the linear form for best pruning.
     pivot = max(range(rank), key=lambda i: abs(w[i]))
     w_pivot = w[pivot]
-    w_others = [w[i] for i in range(rank) if i != pivot]
+    others = [i for i in range(rank) if i != pivot]
+    values = range(-bound, bound + 1)
+
+    # stage 1: the index of every box point whose pivot is an integer in the box
+    admissible = {r - w_pivot * x for x in values}
+    linear = map(sum, product(*[[w[i] * v for v in values] for i in others]))
+    candidates = compress(count(), map(admissible.__contains__, linear))
+
+    # stage 2: D.G.D - D.K - 2(h^2 - chi) as a sum of terms over coordinates
     gram = S.lattice.gram
-    k = S.lattice.gram_K
+    quadratic = [
+        (i, j, gram[i][j] if i == j else 2 * gram[i][j])
+        for i in range(rank)
+        for j in range(i, rank)
+        if gram[i][j]
+    ]
+    linear_terms = [(i, -ki) for i, ki in enumerate(S.lattice.gram_K) if ki]
     c = 2 * (S.h2 - S.chi)
     solutions = []
-    # the sums are lattice.dot written out: this loop runs once per box point
-    for values in product(range(-bound, bound + 1), repeat=rank - 1):
-        x, rest = divmod(r - sum(map(mul, w_others, values)), w_pivot)
-        if rest or abs(x) > bound:
-            continue
-        coeffs = values[:pivot] + (x,) + values[pivot:]
-        # D.G.D - D.K as D . (G.D - k)
-        gD_minus_k = [sum(map(mul, row, coeffs)) - kj for row, kj in zip(gram, k)]
-        if sum(map(mul, coeffs, gD_minus_k)) != c:
-            continue
-        D = DivisorClass(coeffs)
-        report = line_numeric_check(S, D)
-        assert report.passed, "box search produced a non-solution"
-        solutions.append(D)
+    while chunk := list(islice(candidates, _CHUNK)):
+        n = len(chunk)
+        columns = [None] * rank
+        # the last coordinate of the box varies fastest, as in product
+        for i in reversed(others):
+            columns[i] = list(map(sub, map(mod, chunk, repeat(width)), repeat(bound)))
+            chunk = list(map(floordiv, chunk, repeat(width)))
+        rest = [r] * n
+        for i in others:
+            rest = list(map(sub, rest, map(mul, columns[i], repeat(w[i]))))
+        columns[pivot] = list(map(floordiv, rest, repeat(w_pivot)))
+        value = [-c] * n
+        for i, j, coefficient in quadratic:
+            product_ij = map(mul, columns[i], columns[j])
+            value = list(map(add, value, map(mul, product_ij, repeat(coefficient))))
+        for i, coefficient in linear_terms:
+            value = list(map(add, value, map(mul, columns[i], repeat(coefficient))))
+
+        # stage 3: only solutions become DivisorClass objects
+        for k in compress(count(), map(not_, value)):
+            D = DivisorClass(tuple(column[k] for column in columns))
+            report = line_numeric_check(S, D)
+            assert report.passed, "box search produced a non-solution"
+            solutions.append(D)
     return sorted(solutions, key=lambda D: D.coeffs)

@@ -209,6 +209,47 @@ def test_surface_file_permission_denied(capsys, tmp_path, monkeypatch):
     assert "Permission denied" in message
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param("[" * 100_000 + "]" * 100_000, "JSON nested too deeply", id="nested-too-deeply"),
+    pytest.param('{"gram": [[' + "7" * 5000 + ']], "K": [-3], "h": [1]}', "4300 digits",
+                 id="integer-over-the-digit-limit"),
+    pytest.param('{"gram": [[1]', "invalid JSON: ", id="truncated"),
+])
+def test_malformed_json_is_a_parse_error(capsys, tmp_path, text, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", "json")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert (error["category"], error["type"]) == ("validation", "ParseError")
+    assert message in error["message"]
+
+
+# ---------------------------------------------------------------------------
+# Unexpected exceptions
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch, fmt):
+    def broken(args):
+        raise RuntimeError("something broke")
+
+    # the shared parser binds the command functions when it is built
+    monkeypatch.setattr(cli, "cmd_info", broken)
+    cli._shared_parser.cache_clear()
+    try:
+        code, out, err = invoke(capsys, "info", "--builtin", "p2-1", "--format", fmt)
+    finally:
+        cli._shared_parser.cache_clear()
+    assert code == cli.EXIT_INTERNAL == 3 and out == ""
+    if fmt == "json":
+        assert json.loads(err) == {"error": {
+            "category": "internal", "type": "RuntimeError", "message": "something broke",
+        }}
+    else:
+        assert err == "error (RuntimeError): something broke\n"
+
+
 # ---------------------------------------------------------------------------
 # Usage errors and the shared parser
 

@@ -165,11 +165,40 @@ def _small_bounds(rank, points=3**8):
     return [1] + [b for b in range(2, 7) if (2 * b + 1) ** (rank - 1) <= points]
 
 
-@pytest.mark.parametrize("name", SMALL_BUILTINS)
-def test_bounded_matches_reference_on_builtins(name):
+# The default chunk holds every candidate of these boxes; chunks of 1, 2
+# and 7 candidates put chunk boundaries everywhere inside them.
+@pytest.mark.parametrize(
+    "name,chunk",
+    [pytest.param(name, None, id=name) for name in SMALL_BUILTINS]
+    + [pytest.param(name, chunk, id=f"{name}-chunk-{chunk}")
+       for chunk in (1, 2, 7) for name in SMALL_BUILTINS],
+)
+def test_bounded_matches_reference_on_builtins(name, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
     S = builtin_surface(name)
     for bound in _small_bounds(S.lattice.rank):
         assert enumerate_bounded(S, bound) == reference_enumerate_bounded(S, bound)
+
+
+def _candidate_count(S, bound):
+    """Box points whose pivot coordinate is an integer inside the box."""
+    w = S.gram_h
+    r = (3 * S.h2 + S.hK) // 2
+    pivot = max(range(len(w)), key=lambda i: abs(w[i]))
+    others = [wi for i, wi in enumerate(w) if i != pivot]
+    candidates = 0
+    for values in product(range(-bound, bound + 1), repeat=len(others)):
+        x, rest = divmod(r - sum(wi * v for wi, v in zip(others, values)), w[pivot])
+        candidates += rest == 0 and abs(x) <= bound
+    return candidates
+
+
+def test_bounded_matches_reference_across_default_chunks():
+    S = del_pezzo(4)
+    # 7^5 = 16,807 box points, of which more candidates than one chunk holds
+    assert _candidate_count(S, 3) == 5202 > enumeration._CHUNK
+    assert enumerate_bounded(S, 3) == reference_enumerate_bounded(S, 3)
 
 
 def _fix_parity(gram, K):
@@ -264,3 +293,41 @@ def test_bounded_pairs_per_request_and_solution_not_per_box_point(monkeypatch):
         assert len(calls) == 1 + len(solutions)
         seen.append(len(solutions))
     assert seen[0] < seen[1]
+
+
+def _counting_box_work(monkeypatch):
+    """Wrap the box draw and the line check of the search.  Each draw
+    records the number of items it yielded and whether it ran to its end."""
+    draws, checks = [], []
+    draw_box, check = enumeration.product, enumeration.line_numeric_check
+
+    def counted_product(*iterables, repeat=1):
+        draw = {"items": 0, "exhausted": False}
+        draws.append(draw)
+        for item in draw_box(*iterables, repeat=repeat):
+            draw["items"] += 1
+            yield item
+        draw["exhausted"] = True
+
+    def counted_check(S, D):
+        checks.append(D)
+        return check(S, D)
+
+    monkeypatch.setattr(enumeration, "product", counted_product)
+    monkeypatch.setattr(enumeration, "line_numeric_check", counted_check)
+    return draws, checks
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("p2-1", 3), ("p2-3", 2), ("p1xp1-2-3", 6), ("del-pezzo-7", 2),
+    ("del-pezzo-5", 3), ("kim-4-3", 6), ("table1-row-3", 1), ("del-pezzo-4", 3),
+])
+def test_bounded_draws_the_whole_box_once(monkeypatch, name, bound):
+    """The box contract the benchmark's box_points count relies on: one
+    product per request, (2B+1)^(rank-1) points drawn and every one of them
+    consumed, and one line check per solution."""
+    draws, checks = _counting_box_work(monkeypatch)
+    S = builtin_surface(name)
+    solutions = enumerate_bounded(S, bound)
+    assert draws == [{"items": (2 * bound + 1) ** (S.lattice.rank - 1), "exhausted": True}]
+    assert sorted(checks, key=lambda D: D.coeffs) == solutions
