@@ -60,6 +60,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Plane and Hirzebruch surfaces
 
+# What the paper-backed families (plane, Hirzebruch, del Pezzo, Enriques,
+# points on a cubic) assert: h very ample and non-special, h^0(2K - h) = 0
+# and h^0(h - K) != 0.
+_FAMILY_FLAGS = HypothesisFlags(
+    very_ample=True,
+    non_special=True,
+    h0_2K_minus_h_zero=True,
+    h0_h_minus_K_zero=False,
+)
+
 
 def p2_surface(lam: int) -> PolarizedSurface:
     """The plane polarized by O(lambda)."""
@@ -70,12 +80,7 @@ def p2_surface(lam: int) -> PolarizedSurface:
         lattice=lattice,
         h=DivisorClass((lam,)),
         kind=SurfaceKind.p2(lam),
-        flags=HypothesisFlags(
-            very_ample=True,
-            non_special=True,
-            h0_2K_minus_h_zero=True,
-            h0_h_minus_K_zero=False,
-        ),
+        flags=_FAMILY_FLAGS,
         name=f"p2-{lam}",
         provenance=f"plane with h = {lam}l",
     )
@@ -98,12 +103,7 @@ def hirzebruch_surface(e: int, a: int, b: int) -> PolarizedSurface:
         lattice=hirzebruch_lattice(e),
         h=DivisorClass((a, b)),
         kind=SurfaceKind.hirzebruch(e, a, b),
-        flags=HypothesisFlags(
-            very_ample=True,
-            non_special=True,
-            h0_2K_minus_h_zero=True,
-            h0_h_minus_K_zero=False,
-        ),
+        flags=_FAMILY_FLAGS,
         name=name,
         provenance=f"Hirzebruch e={e} with h = {a}xi + {b}f",
     )
@@ -268,12 +268,7 @@ def del_pezzo(d: int) -> PolarizedSurface:
         lattice=lattice,
         h=-lattice.canonical,
         kind=SurfaceKind.blowup_p2(anticanonical=True),
-        flags=HypothesisFlags(
-            very_ample=True,
-            non_special=True,
-            h0_2K_minus_h_zero=True,
-            h0_h_minus_K_zero=False,
-        ),
+        flags=_FAMILY_FLAGS,
         name=f"del-pezzo-{d}",
         provenance=f"del Pezzo surface of degree {d}, anticanonical embedding",
     )
@@ -290,12 +285,7 @@ def enriques_numeric(h2: int) -> PolarizedSurface:
         lattice=lattice,
         h=DivisorClass((1, h2 // 2)),
         kind=SurfaceKind.enriques(),
-        flags=HypothesisFlags(
-            very_ample=True,
-            non_special=True,
-            h0_2K_minus_h_zero=True,
-            h0_h_minus_K_zero=False,
-        ),
+        flags=_FAMILY_FLAGS,
         name=f"enriques-{h2}",
         provenance=f"Enriques surface numeric carrier, h^2 = {h2}",
     )
@@ -311,12 +301,7 @@ def kim_cubic(a: int, m: int) -> PolarizedSurface:
         lattice=lattice,
         h=DivisorClass((a,) + (-1,) * m),
         kind=SurfaceKind.blowup_p2(anticanonical=True),
-        flags=HypothesisFlags(
-            very_ample=True,
-            non_special=True,
-            h0_2K_minus_h_zero=True,
-            h0_h_minus_K_zero=False,
-        ),
+        flags=_FAMILY_FLAGS,
         name=f"kim-{a}-{m}",
         provenance=f"blow-up of the plane at {m} points on a cubic, h = {a}l - sum e_i",
     )
@@ -505,44 +490,40 @@ def parse_surface(text: str) -> PolarizedSurface:
 # ---------------------------------------------------------------------------
 # Builtin registry
 
-_BUILTIN_PATTERNS = (
-    ("p2-L", "plane with h = L * line, L >= 1"),
-    ("p1xp1-A-B", "quadric surface with h = A xi + B f, A, B >= 1"),
-    ("hirzebruch-eE-aA-bB", "Hirzebruch surface, A >= 1, B >= A*E + 1"),
-    ("table1-row-N", "rational surface in P4, rows 1..7"),
-    ("bordiga", "alias for table1-row-4"),
-    ("table1-row-2-printed", "inconsistent row-2 variant (regression fixture)"),
-    ("del-pezzo-D", "del Pezzo surface, 3 <= D <= 9, h = -K"),
-    ("enriques-H", "Enriques numeric carrier, h^2 = H even >= 8"),
-    ("kim-A-M", "plane blown up at M points on a cubic, h = A l - sum e_i"),
+# One row per family: the pattern and description that `catalog list`
+# prints, the regex a name must match in full, and the builder it calls
+# with the regex's groups as ints.
+_BUILTINS = (
+    ("p2-L", "plane with h = L * line, L >= 1",
+     r"p2-(\d+)", p2_surface),
+    ("p1xp1-A-B", "quadric surface with h = A xi + B f, A, B >= 1",
+     r"p1xp1-(\d+)-(\d+)", p1xp1_surface),
+    ("hirzebruch-eE-aA-bB", "Hirzebruch surface, A >= 1, B >= A*E + 1",
+     r"hirzebruch-e(\d+)-a(\d+)-b(\d+)", hirzebruch_surface),
+    ("table1-row-N", "rational surface in P4, rows 1..7",
+     r"table1-row-(\d+)", table1_row),
+    ("bordiga", "alias for table1-row-4",
+     r"bordiga", lambda: table1_row(4)),
+    ("table1-row-2-printed", "inconsistent row-2 variant (regression fixture)",
+     r"table1-row-2-printed", table1_row2_printed),
+    ("del-pezzo-D", "del Pezzo surface, 3 <= D <= 9, h = -K",
+     r"del-pezzo-(\d+)", del_pezzo),
+    ("enriques-H", "Enriques numeric carrier, h^2 = H even >= 8",
+     r"enriques-(\d+)", enriques_numeric),
+    ("kim-A-M", "plane blown up at M points on a cubic, h = A l - sum e_i",
+     r"kim-(\d+)-(\d+)", kim_cubic),
 )
 
 
 def builtin_names() -> list[tuple[str, str]]:
     """(pattern, description) pairs for every builtin family."""
-    return list(_BUILTIN_PATTERNS)
+    return [(pattern, description) for pattern, description, _, _ in _BUILTINS]
 
 
 def builtin_surface(name: str) -> PolarizedSurface:
     """Resolve a builtin surface name like del-pezzo-3 or p1xp1-2-3."""
-    if name == "bordiga":
-        return table1_row(4)
-    if name == "table1-row-2-printed":
-        return table1_row2_printed()
-    patterns = (
-        (r"p2-(\d+)$", lambda m: p2_surface(int(m[1]))),
-        (r"p1xp1-(\d+)-(\d+)$", lambda m: p1xp1_surface(int(m[1]), int(m[2]))),
-        (
-            r"hirzebruch-e(\d+)-a(\d+)-b(\d+)$",
-            lambda m: hirzebruch_surface(int(m[1]), int(m[2]), int(m[3])),
-        ),
-        (r"table1-row-(\d+)$", lambda m: table1_row(int(m[1]))),
-        (r"del-pezzo-(\d+)$", lambda m: del_pezzo(int(m[1]))),
-        (r"enriques-(\d+)$", lambda m: enriques_numeric(int(m[1]))),
-        (r"kim-(\d+)-(\d+)$", lambda m: kim_cubic(int(m[1]), int(m[2]))),
-    )
-    for pattern, build in patterns:
-        match = re.match(pattern, name)
+    for _, _, regex, build in _BUILTINS:
+        match = re.fullmatch(regex, name)
         if match:
-            return build(match)
+            return build(*map(int, match.groups()))
     raise UnknownBuiltin(f"no builtin surface named {name!r}")

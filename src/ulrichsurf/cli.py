@@ -3,8 +3,8 @@
 Every subcommand renders the same computed object either as a plain text
 table or as JSON; the table is a rendering of the JSON dictionary, never a
 recomputation.  Exit codes: 0 success, 1 usage or validation error, 2 a
-verification command found a failing check, 3 internal error (a failed
-invariant check or any other unexpected exception).
+verification command found a failing check, 3 internal error: an
+unexpected exception, which means a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from . import catalog
 from .classify import classify
 from .enumeration import enumerate_bounded, enumerate_rank2_exact
-from .errors import InvariantViolation, RankTooHigh, UlrichSurfError, UnreadableFile
+from .errors import RankTooHigh, UlrichSurfError, UnreadableFile
 from .invariants import ChernData, derived_invariants, embedding_sanity
 from .lattice import DivisorClass
 from .ulrich import (
@@ -307,9 +307,6 @@ def run(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        _report_error(args, exc, "internal")
-        return EXIT_INTERNAL
     except UlrichSurfError as exc:
         _report_error(args, exc, "validation")
         return EXIT_USAGE

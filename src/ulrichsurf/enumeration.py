@@ -2,7 +2,7 @@
 
 Three routes: an exact solver on lattices of rank at most 2 (parametrize
 the integer solutions of the linear equation, then solve the induced
-univariate quadratic over the rationals), the closed form on P^1 x P^1,
+univariate quadratic in integers), the closed form on P^1 x P^1,
 and a bounded exhaustive search usable on any rank as an independent
 oracle.  Outputs are numerical candidates only and are always sorted
 lexicographically by coefficient vector.
@@ -10,7 +10,6 @@ lexicographically by coefficient vector.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count, islice, product, repeat
 from math import gcd, isqrt
 from operator import add, floordiv, mod, mul, not_, sub
@@ -38,10 +37,6 @@ DEFAULT_ITERATION_CEILING = 10**8
 _CHUNK = 4096
 
 
-def _required_linear(S: PolarizedSurface) -> Fraction:
-    return Fraction(3 * S.h2 + S.hK, 2)
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a x + b y = g = gcd(a, b)."""
     old_r, r = a, b
@@ -58,7 +53,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _integer_roots(A: int, B: int, C: int) -> list[int] | None:
-    """Integer roots of A t^2 + B t + C = 0; None if identically zero."""
+    """Integer roots of A t^2 + B t + C = 0; None if every t is a root."""
     if A == 0:
         if B == 0:
             return None if C == 0 else []
@@ -80,19 +75,16 @@ def _integer_roots(A: int, B: int, C: int) -> list[int] | None:
 def enumerate_rank2_exact(S: PolarizedSurface) -> list[DivisorClass]:
     """All integer solutions of the line-bundle conditions, rank <= 2 only.
 
-    Raises RankTooHigh above rank 2 and DegenerateForm when D -> D.h is
-    identically zero or the solution set is infinite.
+    Raises RankTooHigh above rank 2 and DegenerateForm when the solution
+    set is infinite, which needs a degenerate pairing.  The right-hand side
+    (3h^2 + h.K)/2 is an integer and D -> D.h is not the zero form (see
+    IntersectionLattice), so neither needs a check here.
     """
     rank = S.lattice.rank
     if rank > 2:
         raise RankTooHigh(f"exact enumeration needs rank <= 2, got {rank}")
     w = S.gram_h
-    if all(wi == 0 for wi in w):
-        raise DegenerateForm("pairing with h is identically zero")
-    required = _required_linear(S)
-    if required.denominator != 1:
-        return []
-    r = int(required)
+    r = (3 * S.h2 + S.hK) // 2
 
     if rank == 1:
         (w0,) = w
@@ -179,18 +171,14 @@ def enumerate_bounded(
         raise InvalidPolarization(f"bound must be >= 1, got {bound}")
     rank = S.lattice.rank
     w = S.gram_h
-    if all(wi == 0 for wi in w):
-        raise DegenerateForm("pairing with h is identically zero")
-    required = _required_linear(S)
-    if required.denominator != 1:
-        return []
-    r = int(required)
+    r = (3 * S.h2 + S.hK) // 2
     width = 2 * bound + 1
     if width ** (rank - 1) > iteration_ceiling:
         raise BoxTooLarge(
             f"{width ** (rank - 1)} iterations exceed ceiling {iteration_ceiling}"
         )
-    # Pivot on the largest coefficient of the linear form for best pruning.
+    # Pivot on the largest coefficient of the linear form for best pruning;
+    # it is nonzero because h^2 > 0.
     pivot = max(range(rank), key=lambda i: abs(w[i]))
     w_pivot = w[pivot]
     others = [i for i in range(rank) if i != pivot]

@@ -17,24 +17,16 @@ class ParityViolation(UlrichSurfError):
     """Some basis vector b has b.b + b.K odd, breaking adjunction parity."""
 
 
-class NonIntegralGenus(UlrichSurfError):
-    """h^2 + h.K turned out odd; impossible on a parity-valid lattice."""
-
-
-class NonIntegralChi(UlrichSurfError):
-    """The Riemann-Roch half-term is not an integer; defensive check."""
-
-
-class NonIntegralC2(UlrichSurfError):
-    """The special second Chern class formula gave a non-integer."""
-
-
 class MissingHypothesis(UlrichSurfError):
     """An operation was invoked without its stated cohomological hypotheses."""
 
 
 class DegenerateForm(UlrichSurfError):
-    """The linear form D -> D.h is degenerate, or the solution set is infinite."""
+    """The rank-2 solver found infinitely many solutions along the linear locus.
+
+    Reachable only on a degenerate pairing; the Hodge-index signature check
+    of make_lattice, once added, makes it unreachable too.
+    """
 
 
 class RankTooHigh(UlrichSurfError):
@@ -77,13 +69,5 @@ class ValidationError(UlrichSurfError):
         self.message = message
 
 
-class VerificationFailure(UlrichSurfError):
-    """A verification command found a failing check."""
-
-
 class UnknownBuiltin(UlrichSurfError):
     """No builtin surface with the requested name."""
-
-
-class InvariantViolation(UlrichSurfError):
-    """An internal cross-check failed; indicates a bug, not bad input."""

@@ -4,23 +4,18 @@ A polarized surface bundles a lattice, a polarization class h, the discrete
 invariants p_g and q, a family tag, and asserted cohomological flags.  All
 derived quantities (Euler characteristic of the structure sheaf, sectional
 genus, embedding dimension, Riemann-Roch values, Chern twists) are computed
-by exact rational arithmetic with explicit integrality checks.
+in exact integer arithmetic; adjunction parity makes every half an integer
+(see IntersectionLattice).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import Optional
 
-from .errors import (
-    MissingHypothesis,
-    NonIntegralChi,
-    NonIntegralGenus,
-    ValidationError,
-)
+from .errors import MissingHypothesis, ValidationError
 from .lattice import DivisorClass, DivisorLike, IntersectionLattice, as_divisor, dot
 
 __all__ = [
@@ -41,7 +36,8 @@ __all__ = [
 # Tri-state hypothesis value: True / False / None (unknown).
 Flag = Optional[bool]
 
-KIND_NAMES = ("p2", "hirzebruch", "blowup_p2", "enriques", "abstract")
+# Number of integer parameters each kind carries.
+KIND_ARITY = {"p2": 1, "hirzebruch": 3, "blowup_p2": 0, "enriques": 0, "abstract": 0}
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,15 @@ class SurfaceKind:
     anticanonical: bool = False
 
     def __post_init__(self):
-        if self.name not in KIND_NAMES:
+        if self.name not in KIND_ARITY:
             raise ValidationError("kind", f"unknown kind {self.name!r}")
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        if len(self.params) != KIND_ARITY[self.name]:
+            raise ValidationError(
+                "kind",
+                f"wrong number of parameters for {self.name!r}: "
+                f"expected {KIND_ARITY[self.name]}, got {len(self.params)}",
+            )
 
     @staticmethod
     def p2(lam: int) -> "SurfaceKind":
@@ -178,10 +180,7 @@ class PolarizedSurface:
     @cached_property
     def pi(self) -> int:
         """Sectional genus (h^2 + h.K)/2 + 1."""
-        num = self.h2 + self.hK
-        if num % 2 != 0:
-            raise NonIntegralGenus("h^2 + h.K is odd")
-        return num // 2 + 1
+        return (self.h2 + self.hK) // 2 + 1
 
     def pair(self, D: DivisorLike, E: DivisorLike) -> int:
         return self.lattice.pair(D, E)
@@ -248,10 +247,7 @@ def derived_invariants(S: PolarizedSurface) -> DerivedInvariants:
     pi = S.pi
     embedded = S.pg == 0 and S.q == 0 and S.flags.non_special is True
     if embedded:
-        half = h2 - hK
-        if half % 2 != 0:
-            raise NonIntegralGenus("h^2 - h.K is odd")
-        N = half // 2
+        N = (h2 - hK) // 2
         h0_h = N + 1
         degZ = N + 2
     else:
@@ -272,11 +268,8 @@ def derived_invariants(S: PolarizedSurface) -> DerivedInvariants:
 def riemann_roch_chi(S: PolarizedSurface, F: ChernData) -> int:
     """chi(F) = rank . chi(O_S) + c1.(c1 - K)/2 - c2, exactly."""
     c1 = S.lattice.check_dimension(F.c1)
-    half = Fraction(S.pair(c1, c1) - dot(c1.coeffs, S.lattice.gram_K), 2)
-    value = F.rank * S.chi + half - F.c2
-    if value.denominator != 1:
-        raise NonIntegralChi("c1.(c1 - K) is odd")
-    return int(value)
+    half = (S.pair(c1, c1) - dot(c1.coeffs, S.lattice.gram_K)) // 2
+    return F.rank * S.chi + half - F.c2
 
 
 def chern_twist(S: PolarizedSurface, F: ChernData, t: int) -> ChernData:

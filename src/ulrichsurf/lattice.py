@@ -81,6 +81,21 @@ class IntersectionLattice:
     writing o(D) = D.D + D.K, bilinearity and symmetry of the pairing give
     o(D + E) = o(D) + o(E) + 2 D.E, so o is additive mod 2 and vanishes on
     all integer vectors as soon as it vanishes on the basis.
+
+    Every half in the numerical Ulrich conditions is therefore an integer,
+    and the code halves with ``//`` without a check.  For a polarization h
+    and any class c1, o(h) and o(c1) are even, so
+
+    * h^2 + h.K (sectional genus) and h^2 - h.K = o(h) - 2 h.K (the
+      embedding dimension N) are even;
+    * 3h^2 + h.K = o(h) + 2h^2 (the degree D.h of an Ulrich line bundle,
+      times any rank) and 5h^2 + 3h.K = 3 o(h) + 2h^2 (the special c2)
+      are even;
+    * c1^2 - c1.K = o(c1) - 2 c1.K (Riemann-Roch) is even.
+
+    The degeneracy checks go the same way: PolarizedSurface requires
+    h.h = dot(h, gram . h) > 0, so gram . h is not the zero vector, and the
+    linear form D -> D.h always has a nonzero coefficient to solve for.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -123,7 +138,9 @@ def make_lattice(
 ) -> IntersectionLattice:
     """Validate and build an intersection lattice.
 
-    Raises AsymmetricGram, ParityViolation or DimensionMismatch.
+    Raises AsymmetricGram, ParityViolation or DimensionMismatch.  Every
+    builtin surface and parse_surface build their lattice here, so the
+    integrality argument of IntersectionLattice holds for all of them.
     """
     rows = tuple(tuple(int(g) for g in row) for row in gram)
     rank = len(rows)

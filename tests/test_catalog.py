@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from ulrichsurf.catalog import (
+    builtin_names,
     builtin_surface,
     clifford_report,
     del_pezzo,
@@ -184,3 +187,26 @@ def test_builtin_names_resolve():
     assert builtin_surface("bordiga").name == "table1-row-4"
     with pytest.raises(UnknownBuiltin):
         builtin_surface("veronese")
+
+
+def test_builtin_names_list_every_family_once():
+    patterns = [pattern for pattern, _ in builtin_names()]
+    assert patterns == [
+        "p2-L", "p1xp1-A-B", "hirzebruch-eE-aA-bB", "table1-row-N", "bordiga",
+        "table1-row-2-printed", "del-pezzo-D", "enriques-H", "kim-A-M",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["p2", "hirzebruch", "hirzebruch:1,2", "p2:1,2", "p2:anticanonical",
+     "abstract:1", "blowup_p2:1,2", "enriques:3"],
+)
+def test_parse_rejects_kind_with_wrong_parameter_count(kind):
+    text = json.dumps(
+        {"gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [2, -1], "kind": kind}
+    )
+    with pytest.raises(ValidationError) as info:
+        parse_surface(text)
+    assert info.value.path == "kind"
+    assert "wrong number of parameters" in info.value.message

@@ -225,6 +225,27 @@ def test_malformed_json_is_a_parse_error(capsys, tmp_path, text, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("kind", ["p2", "hirzebruch", "hirzebruch:1,2", "p2:1,2"])
+def test_kind_with_wrong_parameter_count_is_a_validation_error(capsys, tmp_path, kind, fmt):
+    # with both flags true, classify reaches the stability verdict, which
+    # reads the kind's parameters
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({
+        "gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [2, -1], "kind": kind,
+        "flags": {"very_ample": "true", "non_special": "true"},
+    }))
+    code, out, err = invoke(capsys, "classify", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "ValidationError")
+        assert error["message"].startswith("kind: wrong number of parameters")
+    else:
+        assert err.startswith("error (ValidationError): kind: wrong number of parameters")
+        assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Unexpected exceptions
 
