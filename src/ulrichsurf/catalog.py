@@ -418,6 +418,21 @@ def _int_vector(doc: dict, key: str) -> list[int]:
     return value
 
 
+def _kind_invariants(kind: SurfaceKind) -> tuple[int, int, int, int] | None:
+    """(rank, h^2, h.K, K^2) that a kind's parameters fix, or None.
+
+    None of them depends on the basis, so a document may write the plane or
+    the Hirzebruch surface in any basis it likes.
+    """
+    if kind.name == "p2":
+        (lam,) = kind.params
+        return 1, lam * lam, -3 * lam, 9
+    if kind.name == "hirzebruch":
+        e, a, b = kind.params
+        return 2, 2 * a * b - a * a * e, a * e - 2 * a - 2 * b, 8
+    return None
+
+
 def parse_surface(text: str) -> PolarizedSurface:
     """Parse and validate a surface document; inverse of serialize_surface."""
     try:
@@ -484,6 +499,15 @@ def parse_surface(text: str) -> PolarizedSurface:
         raise
     except UlrichSurfError as exc:
         raise ValidationError("h", str(exc)) from exc
+    expected = _kind_invariants(surface.kind)
+    if expected is not None:
+        found = (lattice.rank, surface.h2, surface.hK, surface.K2)
+        if found != expected:
+            raise ValidationError(
+                "kind",
+                f"{kind_text!r} needs (rank, h^2, h.K, K^2) = {expected}, "
+                f"the document has {found}",
+            )
     return surface
 
 

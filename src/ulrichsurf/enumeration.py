@@ -4,8 +4,12 @@ Three routes: an exact solver on lattices of rank at most 2 (parametrize
 the integer solutions of the linear equation, then solve the induced
 univariate quadratic in integers), the closed form on P^1 x P^1,
 and a bounded exhaustive search usable on any rank as an independent
-oracle.  Outputs are numerical candidates only and are always sorted
-lexicographically by coefficient vector.
+oracle.  The bounded search visits every point of its box once, in
+builtins; on a diagonal gram matrix, the case of planes blown up at points
+in their standard basis, one packed integer sum and one set lookup per box
+point decide both conditions, and otherwise the points that pass the linear
+condition are tested column by column.  Outputs are numerical candidates
+only and are always sorted lexicographically by coefficient vector.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ __all__ = [
 
 DEFAULT_ITERATION_CEILING = 10**8
 
-# candidates decoded and tested per column pass of the box search
+# kept box points decoded and tested per column pass of the box search
 _CHUNK = 4096
 
 
@@ -150,20 +154,31 @@ def enumerate_bounded(
     Raises BoxTooLarge, before any search work, when that count exceeds the
     ceiling.
 
-    Three stages, all in exact integer arithmetic:
+    Write k = gram . K and q_i(v) = g_ii v^2 - k_i v.  On a diagonal gram
+    matrix the quadratic condition D.G.D - D.K = 2(h^2 - chi) is the sum of
+    one share q_i(D_i) per coordinate, so the box scan decides it together
+    with the linear one.  Three stages, all in exact integer arithmetic:
 
     1. Every box point, in builtins.  itertools.product draws the box once,
-       over one list of weighted values w_i * v per non-pivot coordinate, in
-       the order of product(range(-bound, bound + 1), repeat=rank - 1), and
-       map(sum, ...) gives each point's w.y.  The point is a candidate when
-       w.y lies in {r - w_pivot * x : |x| <= bound}, which is exactly when
-       the pivot x = (r - w.y) / w_pivot is an integer inside the box.
-    2. Candidates, column-wise.  The box indices of the candidates are taken
-       in chunks of at most _CHUNK, decoded into one column of values per
-       coordinate, the pivot column divided out exactly, and
-       D.G.D - D.K - 2(h^2 - chi) evaluated one term at a time over the
-       nonzero entries of the upper triangle of the gram matrix and of
-       gram . K.  Memory is bounded by the chunk, not by the box.
+       over one list per non-pivot coordinate, in the order of
+       product(range(-bound, bound + 1), repeat=rank - 1).  The entry for the
+       value v packs two fields, w_i v M + (q_i(v) - min q_i): every low
+       field lies in [0, M) and M exceeds the largest sum of them, so
+       map(sum, ...) gives each point's w.y and quadratic share in one
+       integer, with no carry between the fields.  A point is kept when that
+       integer is one of the packed targets, one per pivot value x in the
+       box whose required low field lies in [0, M); that is exactly when
+       x = (r - w.y) / w_pivot is an integer in the box and D is a solution.
+       On a gram matrix with an off-diagonal entry every low field is zero
+       and M = 1: the targets are {r - w_pivot x : |x| <= bound} and the
+       kept points are the candidates whose pivot is an integer in the box.
+    2. Kept points, column-wise.  Their box indices are taken in chunks of
+       at most _CHUNK, decoded into one column of values per coordinate, the
+       pivot column divided out exactly, and the residual of
+       D.G.D - D.K - 2(h^2 - chi) that stage 1 left out evaluated one term
+       at a time: nothing on a diagonal gram matrix, otherwise every nonzero
+       entry of the upper triangle of the gram matrix and of gram . K.
+       Memory is bounded by the chunk, not by the box.
     3. Solutions.  Each zero becomes a DivisorClass, certified by
        line_numeric_check; the list is returned sorted.
     """
@@ -184,23 +199,45 @@ def enumerate_bounded(
     others = [i for i in range(rank) if i != pivot]
     values = range(-bound, bound + 1)
 
-    # stage 1: the index of every box point whose pivot is an integer in the box
-    admissible = {r - w_pivot * x for x in values}
-    linear = map(sum, product(*[[w[i] * v for v in values] for i in others]))
-    candidates = compress(count(), map(admissible.__contains__, linear))
-
-    # stage 2: D.G.D - D.K - 2(h^2 - chi) as a sum of terms over coordinates
-    gram = S.lattice.gram
-    quadratic = [
-        (i, j, gram[i][j] if i == j else 2 * gram[i][j])
-        for i in range(rank)
-        for j in range(i, rank)
-        if gram[i][j]
-    ]
-    linear_terms = [(i, -ki) for i, ki in enumerate(S.lattice.gram_K) if ki]
+    # Only the data depends on the gram matrix: the shares q_i folded into
+    # stage 1, and the residual terms and constant left to stage 2.
+    gram, gram_K = S.lattice.gram, S.lattice.gram_K
     c = 2 * (S.h2 - S.chi)
+    if any(gram[i][j] for i in range(rank) for j in range(i + 1, rank)):
+        shares = [[0] * width] * rank
+        quadratic = [
+            (i, j, gram[i][j] if i == j else 2 * gram[i][j])
+            for i in range(rank)
+            for j in range(i, rank)
+            if gram[i][j]
+        ]
+        linear_terms = [(i, -ki) for i, ki in enumerate(gram_K) if ki]
+        residual_c = c
+    else:
+        shares = [
+            [(gram[i][i] * v - gram_K[i]) * v for v in values] for i in range(rank)
+        ]
+        quadratic, linear_terms, residual_c = [], [], 0
+    floors = {i: min(shares[i]) for i in others}
+    M = 1 + sum(max(shares[i]) - floors[i] for i in others)
+    # a solution with pivot x has low-field sum goal - q_pivot(x)
+    goal = c - residual_c - sum(floors.values())
+
+    # stage 1: the index of every box point that the packed sum keeps
+    targets = {
+        (r - w_pivot * x) * M + low
+        for x, low in zip(values, map(sub, repeat(goal), shares[pivot]))
+        if 0 <= low < M
+    }
+    packed = [
+        [w[i] * v * M + q - floors[i] for v, q in zip(values, shares[i])]
+        for i in others
+    ]
+    kept = compress(count(), map(targets.__contains__, map(sum, product(*packed))))
+
+    # stage 2: the residual of D.G.D - D.K - 2(h^2 - chi), term by term
     solutions = []
-    while chunk := list(islice(candidates, _CHUNK)):
+    while chunk := list(islice(kept, _CHUNK)):
         n = len(chunk)
         columns = [None] * rank
         # the last coordinate of the box varies fastest, as in product
@@ -211,7 +248,7 @@ def enumerate_bounded(
         for i in others:
             rest = list(map(sub, rest, map(mul, columns[i], repeat(w[i]))))
         columns[pivot] = list(map(floordiv, rest, repeat(w_pivot)))
-        value = [-c] * n
+        value = [-residual_c] * n
         for i, j, coefficient in quadratic:
             product_ij = map(mul, columns[i], columns[j])
             value = list(map(add, value, map(mul, product_ij, repeat(coefficient))))

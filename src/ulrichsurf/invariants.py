@@ -96,10 +96,14 @@ class SurfaceKind:
         pieces = text.split(":")
         name = pieces[0]
         anticanonical = False
-        params: tuple[int, ...] = ()
+        params: tuple[int, ...] | None = None
         for piece in pieces[1:]:
             if piece == "anticanonical":
                 anticanonical = True
+            elif params is not None:
+                raise ValidationError(
+                    "kind", f"more than one parameter group in {text!r}"
+                )
             else:
                 try:
                     params = tuple(int(p) for p in piece.split(","))
@@ -107,7 +111,7 @@ class SurfaceKind:
                     raise ValidationError("kind", f"bad parameters in {text!r}")
         if name in ("p2", "hirzebruch"):
             anticanonical = True
-        return SurfaceKind(name, params, anticanonical=anticanonical)
+        return SurfaceKind(name, params or (), anticanonical=anticanonical)
 
 
 @dataclass(frozen=True)

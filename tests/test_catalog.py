@@ -210,3 +210,43 @@ def test_parse_rejects_kind_with_wrong_parameter_count(kind):
         parse_surface(text)
     assert info.value.path == "kind"
     assert "wrong number of parameters" in info.value.message
+
+
+def test_parse_rejects_two_parameter_groups():
+    text = json.dumps({"gram": [[-1, 1], [1, 0]], "K": [-2, -3], "h": [1, 2],
+                       "kind": "hirzebruch:1,2:0,1,2"})
+    with pytest.raises(ValidationError) as info:
+        parse_surface(text)
+    assert info.value.path == "kind"
+    assert "more than one parameter group" in info.value.message
+
+
+# The plane blown up at two points with h = 4l - e1 - e2 (h^2 = 14) tagged
+# p2:1, and documents whose rank, h or K contradicts their kind's parameters.
+@pytest.mark.parametrize("doc", [
+    {"gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "K": [-3, 1, 1], "h": [4, -1, -1],
+     "kind": "p2:1"},
+    {"gram": [[1]], "K": [-3], "h": [1], "kind": "p2:2"},
+    {"gram": [[1]], "K": [-3], "h": [-2], "kind": "p2:2"},
+    {"gram": [[0, 1], [1, 0]], "K": [-2, -2], "h": [2, 3], "kind": "hirzebruch:1,2,3"},
+    {"gram": [[0, 1], [1, 0]], "K": [-2, -2], "h": [2, 3], "kind": "hirzebruch:0,2,4"},
+    {"gram": [[1, 0], [0, -1]], "K": [-1, -3], "h": [2, -1], "kind": "hirzebruch:1,1,2"},
+], ids=["p2-rank-3", "p2-degree", "p2-sign", "hirzebruch-e", "hirzebruch-b",
+        "hirzebruch-K2"])
+def test_parse_rejects_kind_that_contradicts_the_lattice(doc):
+    with pytest.raises(ValidationError) as info:
+        parse_surface(json.dumps(doc))
+    assert info.value.path == "kind"
+    assert "needs (rank, h^2, h.K, K^2)" in info.value.message
+
+
+# F_1 = hirzebruch:1,1,2 in the basis (f, xi) and as the plane blown up at
+# a point, h = 2l - e: every invariant the kind fixes is unchanged
+@pytest.mark.parametrize("gram,K,h", [
+    ([[0, 1], [1, -1]], [-3, -2], [2, 1]),
+    ([[1, 0], [0, -1]], [-3, 1], [2, -1]),
+])
+def test_parse_accepts_kind_in_another_basis(gram, K, h):
+    S = parse_surface(json.dumps({"gram": gram, "K": K, "h": h, "kind": "hirzebruch:1,1,2"}))
+    assert S.kind.params == (1, 1, 2)
+    assert (S.h2, S.hK, S.K2) == (3, -5, 8)

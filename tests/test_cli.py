@@ -246,6 +246,42 @@ def test_kind_with_wrong_parameter_count_is_a_validation_error(capsys, tmp_path,
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("kind,message", [
+    ("hirzebruch:1,2:0,1,2", "kind: more than one parameter group"),
+    ("p2:1", "kind: 'p2:1' needs (rank, h^2, h.K, K^2)"),
+])
+def test_convert_rejects_kind_it_cannot_keep(capsys, tmp_path, kind, message, fmt):
+    # convert used to rewrite the first kind as hirzebruch:0,1,2 and to keep
+    # the second on a rank-3 lattice with h^2 = 14
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({
+        "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]], "K": [-3, 1, 1], "h": [4, -1, -1],
+        "kind": kind,
+    }))
+    code, out, err = invoke(capsys, "convert", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "ValidationError")
+        assert error["message"].startswith(message)
+    else:
+        assert err.startswith(f"error (ValidationError): {message}")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [
+    "p2-1", "p2-2", "p2-7", "p1xp1-1-1", "p1xp1-2-3", "p1xp1-5-2",
+    "hirzebruch-e1-a1-b2", "hirzebruch-e2-a1-b3", "hirzebruch-e3-a2-b9",
+])
+def test_plane_and_hirzebruch_builtins_round_trip_through_convert(capsys, tmp_path, name):
+    code, out, _ = invoke(capsys, "convert", "--builtin", name)
+    assert code == 0
+    path = tmp_path / "surface.json"
+    path.write_text(out)
+    assert invoke(capsys, "convert", "--surface", str(path)) == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # Unexpected exceptions
 

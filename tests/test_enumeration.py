@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from ulrichsurf.catalog import (
     hirzebruch_surface,
     p1xp1_surface,
     p2_surface,
+    parse_surface,
 )
 from ulrichsurf.enumeration import (
     enumerate_bounded,
@@ -253,6 +255,44 @@ def test_bounded_matches_reference_on_generated_lattices(surface, bound):
     assert enumerate_bounded(surface, bound) == reference_enumerate_bounded(surface, bound)
 
 
+@st.composite
+def diagonal_surfaces(draw):
+    """Lattices with a diagonal gram matrix, on which the box search folds
+    the quadratic condition into its scan of the box.  _fix_parity changes
+    only the diagonal of a diagonal gram matrix."""
+    rank = draw(st.integers(1, 6))
+    entries = st.integers(-3, 3)
+    diagonal = draw(st.lists(entries, min_size=rank, max_size=rank))
+    K = draw(st.lists(entries, min_size=rank, max_size=rank))
+    h = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    gram = [[diagonal[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+    lattice = make_lattice(_fix_parity(gram, K), K, [f"b{i}" for i in range(rank)])
+    assume(lattice.pair(h, h) > 0)
+    return PolarizedSurface(lattice=lattice, h=h)
+
+
+@given(surface=diagonal_surfaces(), bound=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+# the plane blown up at a point: the solution (1, 1) has low-field sum
+# exactly M - 1 = 6
+@example(surface=_surface([[1, 0], [0, -1]], [-3, 1], [2, 1]), bound=2)
+# the pivot x = 1 needs a low field outside [0, M): its target is dropped
+@example(surface=_surface([[1, 0], [0, -3]], [1, -1], [2, -1]), bound=1)
+def test_bounded_matches_reference_on_diagonal_lattices(surface, bound):
+    gram = surface.lattice.gram
+    rank = surface.lattice.rank
+    assert not any(gram[i][j] for i in range(rank) for j in range(rank) if i != j)
+    assert enumerate_bounded(surface, bound) == reference_enumerate_bounded(surface, bound)
+
+
+def test_bounded_matches_reference_across_default_chunks_off_diagonal(skewed):
+    # a plane blow-up in a skewed basis keeps the column-wise stage 2;
+    # 7^5 = 16,807 box points, of which more candidates than one chunk holds
+    S = parse_surface(json.dumps(skewed(6, 1)))
+    assert _candidate_count(S, 3) == 4662 > enumeration._CHUNK
+    assert enumerate_bounded(S, 3) == reference_enumerate_bounded(S, 3)
+
+
 def test_box_too_large_before_any_search_work(monkeypatch):
     S = del_pezzo(3)
 
@@ -321,6 +361,7 @@ def _counting_box_work(monkeypatch):
 @pytest.mark.parametrize("name,bound", [
     ("p2-1", 3), ("p2-3", 2), ("p1xp1-2-3", 6), ("del-pezzo-7", 2),
     ("del-pezzo-5", 3), ("kim-4-3", 6), ("table1-row-3", 1), ("del-pezzo-4", 3),
+    ("table1-row-1", 400), ("enriques-10", 40), ("hirzebruch-e1-a1-b2", 30),
 ])
 def test_bounded_draws_the_whole_box_once(monkeypatch, name, bound):
     """The box contract the benchmark's box_points count relies on: one
