@@ -1,0 +1,46 @@
+"""Per-layer timings of the surface-document path.
+
+Times parse_surface, make_lattice and serialize_surface on plane blow-ups
+of Picard rank 20, 40 and 60 written in a skewed basis, the documents the
+tests use.  Outside the test suite; run from the repository root with
+
+    python -m pytest benchmarks --benchmark-json BENCH_documents.json
+
+It imports the package from ``src/`` of this checkout.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from documents import skewed_document  # noqa: E402
+from ulrichsurf.catalog import parse_surface, serialize_surface  # noqa: E402
+from ulrichsurf.lattice import make_lattice  # noqa: E402
+
+RANKS = (20, 40, 60)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_parse_surface(benchmark, rank):
+    text = json.dumps(skewed_document(rank, 1))
+    S = benchmark(parse_surface, text)
+    assert S.lattice.rank == rank
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_make_lattice(benchmark, rank):
+    doc = skewed_document(rank, 1)
+    L = benchmark(make_lattice, doc["gram"], doc["K"], doc["basis"])
+    assert L.rank == rank
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_serialize_surface(benchmark, rank):
+    S = parse_surface(json.dumps(skewed_document(rank, 1)))
+    text = benchmark(serialize_surface, S)
+    assert text.endswith("}\n")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     InvalidDegree,
@@ -31,6 +33,7 @@ from .invariants import (
 from .lattice import (
     DivisorClass,
     blowup_p2_lattice,
+    dot,
     hirzebruch_lattice,
     make_lattice,
 )
@@ -379,24 +382,47 @@ def _flag_to_text(value) -> str:
     return "unknown"
 
 
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2)
+    lays out an array nested depth levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _int_array(values, depth: int) -> str:
+    return _array(list(map(str, values)), depth)
+
+
 def serialize_surface(S: PolarizedSurface) -> str:
     """Canonical JSON document for a surface; fixed key order, flags as
-    "true"/"false"/"unknown", trailing newline."""
-    doc = {
-        "name": S.name,
-        "basis": list(S.lattice.basis_labels),
-        "gram": [list(row) for row in S.lattice.gram],
-        "K": list(S.lattice.canonical.coeffs),
-        "h": list(S.h.coeffs),
-        "pg": S.pg,
-        "q": S.q,
-        "kind": S.kind.to_string(),
-        "flags": {
-            key: _flag_to_text(getattr(S.flags, key)) for key in _FLAG_KEYS
-        },
-        "provenance": S.provenance,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    "true"/"false"/"unknown", trailing newline.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2) + "\n"`` for
+    the dict of these fields, but written directly from the lattice's int
+    tuples: with an indent, json.dumps runs its pure-Python encoder.
+    """
+    lattice = S.lattice
+    gram = [_int_array(row, 2) for row in lattice.gram]
+    flags = [
+        f'"{key}": "{_flag_to_text(getattr(S.flags, key))}"' for key in _FLAG_KEYS
+    ]
+    fields = (
+        ("name", _quote(S.name)),
+        ("basis", _array(list(map(_quote, lattice.basis_labels)), 1)),
+        ("gram", _array(gram, 1)),
+        ("K", _int_array(lattice.canonical.coeffs, 1)),
+        ("h", _int_array(S.h.coeffs, 1)),
+        # a document may give pg or q as a JSON bool, which passes as an int
+        ("pg", json.dumps(S.pg)),
+        ("q", json.dumps(S.q)),
+        ("kind", _quote(S.kind.to_string())),
+        ("flags", "{\n    " + ",\n    ".join(flags) + "\n  }"),
+        ("provenance", _quote(S.provenance)),
+    )
+    body = ",\n  ".join(f'"{key}": {text}' for key, text in fields)
+    return "{\n  " + body + "\n}\n"
 
 
 def _expect(doc: dict, key: str, types, default=None, required=False):
@@ -433,6 +459,30 @@ def _kind_invariants(kind: SurfaceKind) -> tuple[int, int, int, int] | None:
     return None
 
 
+def _check_hodge_index(S: PolarizedSurface) -> None:
+    """Reject a lattice that breaks the Hodge index theorem.
+
+    Since h^2 > 0, the pairing is negative definite on the orthogonal
+    complement of h, so (D.h)^2 >= h^2 D^2 for every class D.  Checked for
+    D = K and for each basis vector, in O(rank) from gram . h, gram . K and
+    the diagonal.  A positive-definite gram of rank 2 or more fails it on
+    a basis vector (Cauchy-Schwarz is strict off the line through h).
+    """
+    h2, gram_h, lattice = S.h2, S.gram_h, S.lattice
+    diagonal = (row[i] for i, row in enumerate(lattice.gram))
+    tests = chain(
+        [("K", dot(S.K.coeffs, gram_h), S.K2)],
+        zip(lattice.basis_labels, gram_h, diagonal),
+    )
+    for label, Dh, D2 in tests:
+        if Dh * Dh < h2 * D2:
+            raise ValidationError(
+                "gram",
+                f"Hodge index theorem fails for {label}: "
+                f"(D.h)^2 = {Dh * Dh} < h^2 D^2 = {h2 * D2}",
+            )
+
+
 def parse_surface(text: str) -> PolarizedSurface:
     """Parse and validate a surface document; inverse of serialize_surface."""
     try:
@@ -452,12 +502,19 @@ def parse_surface(text: str) -> PolarizedSurface:
     name = _expect(doc, "name", str, default="")
     provenance = _expect(doc, "provenance", str, default="")
     gram_raw = _expect(doc, "gram", list, required=True)
-    for i, row in enumerate(gram_raw):
-        if not isinstance(row, list):
-            raise ValidationError(f"gram[{i}]", "expected a list of integers")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, int) or isinstance(entry, bool):
-                raise ValidationError(f"gram[{i}][{j}]", "expected an integer")
+    # json.loads makes exact lists and ints, and bool fails the exact type
+    # test, so two builtin passes accept a well-formed gram; the loop only
+    # runs to name the first bad entry.
+    if not (
+        {*map(type, gram_raw)} <= {list}
+        and {*map(type, chain.from_iterable(gram_raw))} <= {int}
+    ):
+        for i, row in enumerate(gram_raw):
+            if not isinstance(row, list):
+                raise ValidationError(f"gram[{i}]", "expected a list of integers")
+            for j, entry in enumerate(row):
+                if not isinstance(entry, int) or isinstance(entry, bool):
+                    raise ValidationError(f"gram[{i}][{j}]", "expected an integer")
     K = _int_vector(doc, "K")
     h = _int_vector(doc, "h")
     basis = _expect(doc, "basis", list, default=None)
@@ -499,6 +556,7 @@ def parse_surface(text: str) -> PolarizedSurface:
         raise
     except UlrichSurfError as exc:
         raise ValidationError("h", str(exc)) from exc
+    _check_hodge_index(surface)
     expected = _kind_invariants(surface.kind)
     if expected is not None:
         found = (lattice.rank, surface.h2, surface.hK, surface.K2)

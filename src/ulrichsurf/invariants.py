@@ -167,7 +167,7 @@ class PolarizedSurface:
 
     @cached_property
     def h2(self) -> int:
-        return self.lattice.pair(self.h, self.h)
+        return dot(self.h.coeffs, self.gram_h)
 
     @cached_property
     def hK(self) -> int:
@@ -175,7 +175,7 @@ class PolarizedSurface:
 
     @cached_property
     def K2(self) -> int:
-        return self.lattice.pair(self.K, self.K)
+        return dot(self.K.coeffs, self.lattice.gram_K)
 
     @property
     def chi(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import AsymmetricGram, DimensionMismatch, ParityViolation
@@ -27,12 +27,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Integer coefficient vector in a lattice basis."""
+    """Integer coefficient vector in a lattice basis.
+
+    Coefficients go through ``operator.index``: ints pass unchanged, bools
+    become 0/1, and floats or strings raise TypeError rather than being
+    truncated or parsed.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -138,11 +143,12 @@ def make_lattice(
 ) -> IntersectionLattice:
     """Validate and build an intersection lattice.
 
-    Raises AsymmetricGram, ParityViolation or DimensionMismatch.  Every
-    builtin surface and parse_surface build their lattice here, so the
-    integrality argument of IntersectionLattice holds for all of them.
+    Raises AsymmetricGram, ParityViolation or DimensionMismatch, and
+    TypeError for an entry that is not an integer (``operator.index``).
+    Every builtin surface and parse_surface build their lattice here, so
+    the integrality argument of IntersectionLattice holds for all of them.
     """
-    rows = tuple(tuple(int(g) for g in row) for row in gram)
+    rows = tuple(tuple(map(index, row)) for row in gram)
     rank = len(rows)
     for row in rows:
         if len(row) != rank:
@@ -155,10 +161,12 @@ def make_lattice(
     labels = tuple(str(s) for s in labels)
     if len(labels) != rank:
         raise DimensionMismatch(f"{len(labels)} labels for rank {rank}")
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if rows[i][j] != rows[j][i]:
-                raise AsymmetricGram(f"gram[{i}][{j}] != gram[{j}][{i}]")
+    if tuple(zip(*rows)) != rows:
+        # name the first asymmetric pair in row-major order
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if rows[i][j] != rows[j][i]:
+                    raise AsymmetricGram(f"gram[{i}][{j}] != gram[{j}][{i}]")
     lattice = IntersectionLattice(rows, K, labels)
     # b_i.b_i + b_i.K = gram[i][i] + (gram . K)[i]: O(rank^2) in all.
     for i, (row, gK) in enumerate(zip(rows, lattice.gram_K)):

@@ -154,3 +154,67 @@ def test_parity_violation_names_the_same_vector_on_rank_50(skewed):
         with pytest.raises(ParityViolation) as info:
             make_lattice(bad, K, labels)
         assert str(info.value) == expected
+
+
+def reference_asymmetry_message(gram):
+    """The symmetry check as first written, a double loop over the upper
+    triangle; returns the AsymmetricGram message it raised, or None."""
+    rank = len(gram)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if gram[i][j] != gram[j][i]:
+                return f"gram[{i}][{j}] != gram[{j}][{i}]"
+    return None
+
+
+def test_asymmetric_gram_names_the_first_pair_on_rank_50(skewed):
+    doc = skewed(50, 7)
+    gram, K, labels = doc["gram"], doc["K"], doc["basis"]
+    assert reference_asymmetry_message(gram) is None
+    # (i, j) entries to perturb; the first pair in row-major order of the
+    # upper triangle is the one named
+    for broken, first in [
+        (((40, 3),), (3, 40)),
+        (((5, 45), (3, 40)), (3, 40)),
+        (((49, 48),), (48, 49)),
+        (((0, 1), (48, 49)), (0, 1)),
+    ]:
+        bad = [list(row) for row in gram]
+        for i, j in broken:
+            bad[i][j] += 2  # keeps the diagonal, so parity is untouched
+        expected = reference_asymmetry_message(bad)
+        assert expected == f"gram[{first[0]}][{first[1]}] != gram[{first[1]}][{first[0]}]"
+        with pytest.raises(AsymmetricGram) as info:
+            make_lattice(bad, K, labels)
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("gram,K", [
+    ([[1.5]], [-3]),
+    ([[1]], [-3.2]),
+    ([[1.5]], [-3.2]),
+    ([["1"]], [-3]),
+    ([[1]], ["-3"]),
+    ([[None]], [-3]),
+])
+def test_make_lattice_rejects_non_integers(gram, K):
+    # int() used to truncate floats and parse strings: [[1.5]], [-3.2]
+    # became gram ((1,),) and K (-3,)
+    with pytest.raises(TypeError):
+        make_lattice(gram, K, ["l"])
+
+
+@pytest.mark.parametrize("coeffs", [(2.7, 3), (2, "3"), (2.7, "3"), (None,), (1.0,)])
+def test_divisor_class_rejects_non_integers(coeffs):
+    with pytest.raises(TypeError):
+        DivisorClass(coeffs)
+
+
+def test_integers_pass_unchanged_and_bools_become_ints():
+    big = 10**40
+    D = DivisorClass((big, -7, True, False))
+    assert D.coeffs == (big, -7, 1, 0)
+    assert [type(c) for c in D.coeffs] == [int] * 4
+    L = make_lattice([[True, 0], [0, -1]], [-3, True], ["l", "e"])
+    assert L.gram == ((1, 0), (0, -1)) and L.canonical.coeffs == (-3, 1)
+    assert {type(c) for row in L.gram for c in row} == {int}
