@@ -1,0 +1,79 @@
+"""Per-layer timings of the fixed cost of a CLI request.
+
+Times the argument dispatch of ``cli.run`` on the README's example command
+lines, against the top-level parser's own ``parse_args``, and the indent-2
+JSON writer on what ``classify`` and ``enumerate`` print, against
+``json.dumps(indent=2)``.  Outside the test suite; run from the repository
+root with
+
+    python -m pytest benchmarks/test_cli_layers.py --benchmark-json BENCH_cli.json
+
+It imports the package from ``src/`` of this checkout.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from ulrichsurf import cli  # noqa: E402
+
+# The examples of the README's CLI section.
+README_ARGVS = [
+    ["info", "--builtin", "del-pezzo-3"],
+    ["check-line", "--builtin", "p1xp1-2-3", "--divisor", "1,5"],
+    ["check-rank", "--builtin", "del-pezzo-3", "--rank", "2",
+     "--c1", "6,-2,-2,-2,-2,-2,-2", "--c2", "5"],
+    ["enumerate", "--builtin", "p1xp1-2-3"],
+    ["enumerate", "--builtin", "del-pezzo-3", "--bound", "8"],
+    ["special-chern", "--builtin", "enriques-10"],
+    ["classify", "--builtin", "bordiga"],
+    ["catalog", "list"],
+    ["catalog", "verify"],
+    ["clifford", "--a", "4", "--m", "9"],
+    ["convert", "--surface", "mine.json"],
+]
+
+PARSERS = {
+    "direct": cli._parse_args,
+    "top-level": lambda argv: cli._shared_parser().parse_args(argv),
+}
+
+WRITERS = {
+    "ulrichsurf": cli._json,
+    "json.dumps": lambda value: json.dumps(value, indent=2),
+}
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+def test_dispatch(benchmark, parser):
+    parse = PARSERS[parser]
+    parsed = benchmark(lambda: [parse(argv) for argv in README_ARGVS])
+    assert [args.command for args in parsed] == [argv[0] for argv in README_ARGVS]
+
+
+def _printed(*argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+OUTPUTS = {
+    "classify": ("classify", "--builtin", "bordiga"),
+    "enumerate": ("enumerate", "--builtin", "del-pezzo-3", "--bound", "3"),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_json_writer(benchmark, output, writer):
+    data = _printed(*OUTPUTS[output])
+    text = benchmark(WRITERS[writer], data)
+    assert text == json.dumps(data, indent=2)

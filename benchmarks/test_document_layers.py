@@ -4,7 +4,7 @@ Times parse_surface, make_lattice and serialize_surface on plane blow-ups
 of Picard rank 20, 40 and 60 written in a skewed basis, the documents the
 tests use.  Outside the test suite; run from the repository root with
 
-    python -m pytest benchmarks --benchmark-json BENCH_documents.json
+    python -m pytest benchmarks/test_document_layers.py --benchmark-json BENCH_documents.json
 
 It imports the package from ``src/`` of this checkout.
 """

@@ -382,13 +382,17 @@ def _flag_to_text(value) -> str:
     return "unknown"
 
 
-def _array(items: list[str], depth: int) -> str:
+def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
     """A JSON array of encoded items, laid out as json.dumps(indent=2)
-    lays out an array nested depth levels deep."""
+    lays out an array nested depth levels deep; with brackets "{}" and
+    items '"key": value', the same for an object."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    return (
+        brackets[0] + inner + ("," + inner).join(items)
+        + "\n" + "  " * depth + brackets[1]
+    )
 
 
 def _int_array(values, depth: int) -> str:
@@ -414,15 +418,14 @@ def serialize_surface(S: PolarizedSurface) -> str:
         ("gram", _array(gram, 1)),
         ("K", _int_array(lattice.canonical.coeffs, 1)),
         ("h", _int_array(S.h.coeffs, 1)),
-        # a document may give pg or q as a JSON bool, which passes as an int
+        # a surface built in Python may carry a bool pg or q, an int subclass
         ("pg", json.dumps(S.pg)),
         ("q", json.dumps(S.q)),
         ("kind", _quote(S.kind.to_string())),
-        ("flags", "{\n    " + ",\n    ".join(flags) + "\n  }"),
+        ("flags", _array(flags, 1, "{}")),
         ("provenance", _quote(S.provenance)),
     )
-    body = ",\n  ".join(f'"{key}": {text}' for key, text in fields)
-    return "{\n  " + body + "\n}\n"
+    return _array([f'"{key}": {text}' for key, text in fields], 0, "{}") + "\n"
 
 
 def _expect(doc: dict, key: str, types, default=None, required=False):
@@ -431,7 +434,8 @@ def _expect(doc: dict, key: str, types, default=None, required=False):
             raise ValidationError(key, "missing required field")
         return default
     value = doc[key]
-    if not isinstance(value, types):
+    # bool is an int subclass, but a JSON true is not a count
+    if not isinstance(value, types) or (types is int and type(value) is bool):
         raise ValidationError(key, f"expected {types}, got {type(value).__name__}")
     return value
 
@@ -573,27 +577,27 @@ def parse_surface(text: str) -> PolarizedSurface:
 # Builtin registry
 
 # One row per family: the pattern and description that `catalog list`
-# prints, the regex a name must match in full, and the builder it calls
-# with the regex's groups as ints.
+# prints, the compiled regex a name must match in full, and the builder it
+# calls with the regex's groups as ints.
 _BUILTINS = (
     ("p2-L", "plane with h = L * line, L >= 1",
-     r"p2-(\d+)", p2_surface),
+     re.compile(r"p2-(\d+)"), p2_surface),
     ("p1xp1-A-B", "quadric surface with h = A xi + B f, A, B >= 1",
-     r"p1xp1-(\d+)-(\d+)", p1xp1_surface),
+     re.compile(r"p1xp1-(\d+)-(\d+)"), p1xp1_surface),
     ("hirzebruch-eE-aA-bB", "Hirzebruch surface, A >= 1, B >= A*E + 1",
-     r"hirzebruch-e(\d+)-a(\d+)-b(\d+)", hirzebruch_surface),
+     re.compile(r"hirzebruch-e(\d+)-a(\d+)-b(\d+)"), hirzebruch_surface),
     ("table1-row-N", "rational surface in P4, rows 1..7",
-     r"table1-row-(\d+)", table1_row),
+     re.compile(r"table1-row-(\d+)"), table1_row),
     ("bordiga", "alias for table1-row-4",
-     r"bordiga", lambda: table1_row(4)),
+     re.compile(r"bordiga"), lambda: table1_row(4)),
     ("table1-row-2-printed", "inconsistent row-2 variant (regression fixture)",
-     r"table1-row-2-printed", table1_row2_printed),
+     re.compile(r"table1-row-2-printed"), table1_row2_printed),
     ("del-pezzo-D", "del Pezzo surface, 3 <= D <= 9, h = -K",
-     r"del-pezzo-(\d+)", del_pezzo),
+     re.compile(r"del-pezzo-(\d+)"), del_pezzo),
     ("enriques-H", "Enriques numeric carrier, h^2 = H even >= 8",
-     r"enriques-(\d+)", enriques_numeric),
+     re.compile(r"enriques-(\d+)"), enriques_numeric),
     ("kim-A-M", "plane blown up at M points on a cubic, h = A l - sum e_i",
-     r"kim-(\d+)-(\d+)", kim_cubic),
+     re.compile(r"kim-(\d+)-(\d+)"), kim_cubic),
 )
 
 
@@ -605,7 +609,7 @@ def builtin_names() -> list[tuple[str, str]]:
 def builtin_surface(name: str) -> PolarizedSurface:
     """Resolve a builtin surface name like del-pezzo-3 or p1xp1-2-3."""
     for _, _, regex, build in _BUILTINS:
-        match = re.fullmatch(regex, name)
+        match = regex.fullmatch(name)
         if match:
             return build(*map(int, match.groups()))
     raise UnknownBuiltin(f"no builtin surface named {name!r}")

@@ -5,17 +5,23 @@ table or as JSON; the table is a rendering of the JSON dictionary, never a
 recomputation.  Exit codes: 0 success, 1 usage or validation error, 2 a
 verification command found a failing check, 3 internal error: an
 unexpected exception, which means a bug, not bad input.
+
+Most requests need only a few exact integer products, so the fixed cost
+of a request matters: the parser is built once per process, a command
+line is parsed once by its command's subparser, and JSON is written
+directly rather than by the pure-Python encoder json.dumps uses with an
+indent.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import catalog
+from .catalog import _array, _quote
 from .classify import classify
 from .enumeration import enumerate_bounded, enumerate_rank2_exact
 from .errors import RankTooHigh, UlrichSurfError, UnreadableFile
@@ -90,9 +96,35 @@ def _render_table(data, indent: str = "") -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _json(value, depth: int = 0) -> str:
+    """value as json.dumps(value, indent=2) writes it, nested depth levels
+    deep.  With an indent, json.dumps runs its pure-Python encoder; this
+    writes the same text from the types the commands emit: dicts with str
+    keys, lists, tuples, str, int, bool and None.  Anything else is a
+    TypeError, as it is for json.dumps."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _array([_json(item, depth + 1) for item in value], depth)
+    if isinstance(value, dict):
+        items = [
+            f"{_quote(key)}: {_json(item, depth + 1)}" for key, item in value.items()
+        ]
+        return _array(items, depth, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, data: dict) -> None:
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        print(_json(data))
     else:
         print(_render_table(data))
 
@@ -303,8 +335,32 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The shared parser's parse_args(argv), in one pass where it can be.
+
+    argparse reads a command line twice: the top-level parser scans all of
+    it, then hands the words after the command to that command's subparser.
+    When the first word names a command, this calls the subparser at once.
+    Every other line, and one the subparser leaves words over from, takes
+    the full route, so its errors and usage lines are argparse's own.
+    """
+    parser = _shared_parser()
+    if argv:
+        commands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        subparser = commands.get(argv[0])
+        if subparser is not None:
+            args, extras = subparser.parse_known_args(argv[1:])
+            if not extras:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except UlrichSurfError as exc:
@@ -325,7 +381,7 @@ def _report_error(args, exc: Exception, category: str) -> None:
                 "message": str(exc),
             }
         }
-        print(json.dumps(payload, indent=2), file=sys.stderr)
+        print(_json(payload), file=sys.stderr)
     else:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
 

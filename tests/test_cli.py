@@ -1,7 +1,9 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ulrichsurf import cli
 from ulrichsurf.catalog import parse_surface, serialize_surface
@@ -270,6 +272,28 @@ def test_convert_rejects_kind_it_cannot_keep(capsys, tmp_path, kind, message, fm
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["info", "convert"])
+@pytest.mark.parametrize("field", ["pg", "q"])
+def test_bool_pg_or_q_is_a_validation_error(capsys, tmp_path, field, command, fmt):
+    # bool is an int subclass: "pg": true used to give chi = 2 under info,
+    # and convert wrote it back as "pg": true
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({
+        "gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [2, -1], field: True,
+    }))
+    code, out, err = invoke(capsys, command, "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    # only the field is pinned: the wording after it may still change
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert error["category"] == "validation" and error["type"] == "ValidationError"
+        assert error["message"].startswith(f"{field}: ")
+    else:
+        assert err.startswith(f"error (ValidationError): {field}: ")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", [
     "p2-1", "p2-2", "p2-7", "p1xp1-1-1", "p1xp1-2-3", "p1xp1-5-2",
     "hirzebruch-e1-a1-b2", "hirzebruch-e2-a1-b3", "hirzebruch-e3-a2-b9",
@@ -380,3 +404,93 @@ def test_build_parser_runs_once_per_process(capsys, monkeypatch):
         _outcome(capsys, argv)
     assert len(calls) == 1
     cli._shared_parser.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Direct dispatch: the same parse as the top-level parser's parse_args
+
+
+def _parsed(capsys, parse, argv):
+    """vars of the namespace, or the exit code, plus stdout and stderr."""
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+COMMANDS = (
+    ["info", "--builtin", "del-pezzo-3"],
+    ["check-line", "--builtin", "p1xp1-2-3", "--divisor", "1,5"],
+    ["check-rank", "--builtin", "del-pezzo-3", "--rank", "2",
+     "--c1", "6,-2,-2,-2,-2,-2,-2", "--c2", "5"],
+    ["enumerate", "--builtin", "p1xp1-2-3"],
+    ["enumerate", "--builtin", "del-pezzo-5", "--bound", "2"],
+    ["special-chern", "--builtin", "enriques-10"],
+    ["classify", "--builtin", "bordiga"],
+    ["catalog", "list"],
+    ["catalog", "verify"],
+    ["clifford", "--a", "4", "--m", "9"],
+    ["convert", "--builtin", "p2-2"],
+)
+TRICKY = (
+    [], ["-h"], ["--help"], ["info", "-h"], ["info", "--help"],
+    ["bogus"], ["inf"], ["--format", "json", "info"],
+    ["info", "--bogus", "x"],
+    ["info", "--builtin", "p2-1", "--form", "json"],
+    ["info", "--builtin", "p2-1", "--format=xml"],
+    ["check-line", "--builtin", "p2-1"],
+    ["info", "--", "x"],
+    ["info", "--builtin", "p2-1", "--builtin", "p2-2"],
+    ["check-line", "--builtin", "p1xp1-2-3", "--divisor=-1"],
+)
+DISPATCH_CASES = [
+    argv + ["--format", fmt] for argv in COMMANDS for fmt in ("table", "json")
+] + list(TRICKY)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=" ".join)
+def test_direct_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    reference = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert _parsed(capsys, cli._parse_args, argv) == reference
+    # and the whole request: exit code, stdout and stderr
+    expected = _outcome(capsys, list(argv))
+    monkeypatch.setattr(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a))
+    assert _outcome(capsys, list(argv)) == expected
+
+
+def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["classify", "--builtin", "bordiga", "--format", "json"]
+    expected = _outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["ulrichsurf", *argv])
+    assert _outcome(capsys, None) == expected
+    assert expected[0] == 0 and json.loads(expected[1])["ulrich_wild"] == "true"
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: the text of json.dumps(value, indent=2)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**40, 10**40) | st.text(),
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    object(), 3 / 2, [1, {"x": 3 / 2}], {"x": {1, 2}},
+    # json.dumps would write the key as "1"; the commands only emit str keys
+    {1: "one"},
+], ids=["object", "fraction", "nested-fraction", "set", "int-key"])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)

@@ -92,7 +92,7 @@ KINDS = st.sampled_from([
     "hirzebruch:{},{},{}".format, st.integers(0, 9), st.integers(1, 9), st.integers(1, 99)
 )
 TRISTATE = st.sampled_from([True, False, None])
-# pg and q may be JSON bools in a parsed document, since bool is an int
+# a surface built in Python may carry a bool pg or q, since bool is an int
 COUNTS = st.integers(0, 10**30) | st.booleans()
 
 
