@@ -330,17 +330,7 @@ class CliffordReport:
     kim_hypothesis_plausible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "m": self.m,
-            "pi": self.pi,
-            "g": self.g,
-            "deg_L": self.deg_L,
-            "h0_L": self.h0_L,
-            "cliff_L": self.cliff_L,
-            "pencil_bound": self.pencil_bound,
-            "kim_hypothesis_plausible": self.kim_hypothesis_plausible,
-        }
+        return dict(vars(self))
 
 
 def clifford_report(a: int, m: int) -> CliffordReport:
@@ -428,15 +418,26 @@ def serialize_surface(S: PolarizedSurface) -> str:
     return _array([f'"{key}": {text}' for key, text in fields], 0, "{}") + "\n"
 
 
-def _expect(doc: dict, key: str, types, default=None, required=False):
+# The types json.loads makes, by their JSON names; the one left out is the
+# non-integral number.
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    bool: "a boolean", type(None): "null",
+}
+
+
+def _expect(doc: dict, key: str, type_, default=None, required=False):
     if key not in doc:
         if required:
             raise ValidationError(key, "missing required field")
         return default
     value = doc[key]
-    # bool is an int subclass, but a JSON true is not a count
-    if not isinstance(value, types) or (types is int and type(value) is bool):
-        raise ValidationError(key, f"expected {types}, got {type(value).__name__}")
+    # exact type: bool is an int subclass, but a JSON true is not a count
+    if type(value) is not type_:
+        raise ValidationError(
+            key, f"expected {_JSON_TYPES[type_]}, "
+            f"got {_JSON_TYPES.get(type(value), 'a number')}"
+        )
     return value
 
 
@@ -446,21 +447,6 @@ def _int_vector(doc: dict, key: str) -> list[int]:
         if not isinstance(entry, int) or isinstance(entry, bool):
             raise ValidationError(f"{key}[{i}]", "expected an integer")
     return value
-
-
-def _kind_invariants(kind: SurfaceKind) -> tuple[int, int, int, int] | None:
-    """(rank, h^2, h.K, K^2) that a kind's parameters fix, or None.
-
-    None of them depends on the basis, so a document may write the plane or
-    the Hirzebruch surface in any basis it likes.
-    """
-    if kind.name == "p2":
-        (lam,) = kind.params
-        return 1, lam * lam, -3 * lam, 9
-    if kind.name == "hirzebruch":
-        e, a, b = kind.params
-        return 2, 2 * a * b - a * a * e, a * e - 2 * a - 2 * b, 8
-    return None
 
 
 def _check_hodge_index(S: PolarizedSurface) -> None:
@@ -561,7 +547,7 @@ def parse_surface(text: str) -> PolarizedSurface:
     except UlrichSurfError as exc:
         raise ValidationError("h", str(exc)) from exc
     _check_hodge_index(surface)
-    expected = _kind_invariants(surface.kind)
+    expected = surface.kind.lattice_invariants()
     if expected is not None:
         found = (lattice.rank, surface.h2, surface.hK, surface.K2)
         if found != expected:

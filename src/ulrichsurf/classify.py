@@ -3,7 +3,8 @@
 Verdicts are tri-state (true / false / unknown): the theorems being decided
 are conditional on cohomological hypotheses which are asserted flags, never
 silently assumed.  For well-studied families (Enriques surfaces and
-anticanonical rational surfaces) some hypotheses are auto-derived.
+anticanonical rational surfaces) some hypotheses are auto-derived; every
+flag is read through invariants.hypothesis_flag, which says which.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from enum import Enum
 from typing import Optional
 
 from .errors import MissingHypothesis
-from .invariants import Flag, PolarizedSurface, derived_invariants
+from .invariants import (
+    PolarizedSurface,
+    derived_invariants,
+    hypothesis_flag,
+    standing_hypotheses,
+)
 
 __all__ = [
     "Verdict",
@@ -37,37 +43,14 @@ class Verdict(str, Enum):
         raise TypeError("Verdict is tri-state; compare explicitly")
 
 
-def effective_non_special(S: PolarizedSurface) -> Flag:
-    """non_special flag, auto-derived for families where it is a theorem:
-    Enriques surfaces and anticanonical rational surfaces."""
-    if S.flags.non_special is not None:
-        return S.flags.non_special
-    if S.kind.name == "enriques" or S.kind.anticanonical:
-        return True
-    return None
-
-
-def effective_h0_2K_minus_h_zero(S: PolarizedSurface) -> Flag:
-    """h^0(2K - h) = 0 flag, auto-derived when it is a theorem: on an
-    Enriques surface 2K = 0 and h is ample; on an anticanonical surface
-    h - K is effective, which forces the vanishing."""
-    if S.flags.h0_2K_minus_h_zero is not None:
-        return S.flags.h0_2K_minus_h_zero
-    if S.kind.name == "enriques" or S.kind.anticanonical:
-        return True
-    return None
-
-
 def special_rank2_exists(S: PolarizedSurface) -> Verdict:
     """Existence of a special rank-2 Ulrich bundle.
 
-    True under pg = q = 0 with very ample non-special polarization;
+    True under the standing hypotheses with a very ample polarization;
     unknown whenever a hypothesis is unknown.  Never false: no
     nonexistence statement is available.
     """
-    if S.pg != 0 or S.q != 0:
-        return Verdict.UNKNOWN
-    if S.flags.very_ample is True and effective_non_special(S) is True:
+    if standing_hypotheses(S) and hypothesis_flag(S, "very_ample") is True:
         return Verdict.TRUE
     return Verdict.UNKNOWN
 
@@ -107,10 +90,9 @@ def is_ulrich_wild(S: PolarizedSurface) -> Verdict:
     Herzog, Math. Ann. 280, 1988), so they carry only finitely many
     indecomposable Ulrich bundles; the quartic scrolls are of tame type
     (Faenzi-Malaspinas, Adv. Math. 314, 2017), with at most
-    one-dimensional families.  Unknown when the pg = q = 0 non-special
-    hypotheses are not asserted.
+    one-dimensional families.  Unknown outside the standing hypotheses.
     """
-    if S.pg != 0 or S.q != 0 or effective_non_special(S) is not True:
+    if not standing_hypotheses(S):
         return Verdict.UNKNOWN
     if S.pi >= 1 or S.h2 >= 5:
         return Verdict.TRUE
@@ -137,15 +119,17 @@ def moduli_dims(S: PolarizedSurface) -> ModuliDims:
     * smooth: equal to lower_chern, only when h^0(2K - h) = 0 holds, in
       which case the moduli component is generically smooth of exactly
       that dimension.
+
+    A stable bundle needs the standing hypotheses, so N is known here.
     """
     if stable_special_exists(S) is not Verdict.TRUE:
         raise MissingHypothesis("moduli dimensions need a stable bundle")
-    inv = derived_invariants(S)
+    N = derived_invariants(S).N
     lower_chern = S.h2 - S.K2 + 5
     lower_injective = None
-    if S.flags.h0_h_minus_K_zero is True and inv.N is not None:
-        lower_injective = 2 * (inv.N + 2)
-    smooth = lower_chern if effective_h0_2K_minus_h_zero(S) is True else None
+    if hypothesis_flag(S, "h0_h_minus_K_zero") is True:
+        lower_injective = 2 * (N + 2)
+    smooth = lower_chern if hypothesis_flag(S, "h0_2K_minus_h_zero") is True else None
     return ModuliDims(lower_chern, lower_injective, smooth)
 
 
@@ -182,15 +166,10 @@ def classify(S: PolarizedSurface) -> ClassificationReport:
         stable = stable_special_exists(S)
     else:
         stable = Verdict.UNKNOWN
-    wild = is_ulrich_wild(S)
-    lemma = wild_via_lemma(S)
-    lower_chern = S.h2 - S.K2 + 5
-    lower_injective = None
-    smooth = None
     if stable is Verdict.TRUE:
         dims = moduli_dims(S)
-        lower_injective = dims.lower_injective
-        smooth = dims.smooth
+    else:
+        dims = ModuliDims(S.h2 - S.K2 + 5, None, None)
     notes = []
     if S.kind.anticanonical and S.kind.name == "blowup_p2" and S.pi >= 1:
         notes.append(
@@ -209,11 +188,11 @@ def classify(S: PolarizedSurface) -> ClassificationReport:
     return ClassificationReport(
         special_rank2_exists=special,
         stable_special_exists=stable,
-        ulrich_wild=wild,
-        wild_via_lemma=lemma,
+        ulrich_wild=is_ulrich_wild(S),
+        wild_via_lemma=wild_via_lemma(S),
         minimal_degree=S.pi == 0,
-        moduli_dim_lower_chern=lower_chern,
-        moduli_dim_lower_injective=lower_injective,
-        moduli_dim_smooth=smooth,
+        moduli_dim_lower_chern=dims.lower_chern,
+        moduli_dim_lower_injective=dims.lower_injective,
+        moduli_dim_smooth=dims.smooth,
         notes=tuple(notes),
     )

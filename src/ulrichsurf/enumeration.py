@@ -37,6 +37,11 @@ __all__ = [
 
 DEFAULT_ITERATION_CEILING = 10**8
 
+# cap on rank * (2 bound + 1), the size of the per-coordinate tables and
+# the target set the box search builds before it scans (about 110 bytes an
+# entry)
+_TABLE_CAP = 10**6
+
 # kept box points decoded and tested per column pass of the box search
 _CHUNK = 4096
 
@@ -56,12 +61,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _integer_roots(A: int, B: int, C: int) -> list[int] | None:
-    """Integer roots of A t^2 + B t + C = 0; None if every t is a root."""
-    if A == 0:
-        if B == 0:
-            return None if C == 0 else []
-        return [-C // B] if C % B == 0 else []
+def _integer_roots(A: int, B: int, C: int) -> list[int]:
+    """Integer roots of A t^2 + B t + C = 0, for A != 0."""
     disc = B * B - 4 * A * C
     if disc < 0:
         return []
@@ -114,11 +115,14 @@ def enumerate_rank2_exact(S: PolarizedSurface) -> list[DivisorClass]:
     A = pair(V, V)
     B = 2 * pair(P, V) - pair(V, K)
     C = pair(P, P) - pair(P, K) - 2 * (S.h2 - S.chi)
-    roots = _integer_roots(A, B, C)
-    if roots is None:
-        raise DegenerateForm("infinitely many solutions along the linear locus")
+    if A == 0:
+        # V.h = 0 = V.V and h^2 > 0 put V in the kernel of the form, so
+        # B = 0 too: every point of the line solves, or none does
+        if C == 0:
+            raise DegenerateForm("infinitely many solutions along the linear locus")
+        return []
     solutions = []
-    for t in roots:
+    for t in _integer_roots(A, B, C):
         D = DivisorClass((P[0] + t * V[0], P[1] + t * V[1]))
         report = line_numeric_check(S, D)
         assert report.passed, "solver produced a non-solution"
@@ -152,7 +156,8 @@ def enumerate_bounded(
     |D.h| has its largest coefficient) exactly, so the search visits every
     point y of the box [-bound, bound]^(rank - 1) of the other coordinates.
     Raises BoxTooLarge, before any search work, when that count exceeds the
-    ceiling.
+    ceiling, or when the tables built for the scan, rank * (2 bound + 1)
+    entries, would exceed _TABLE_CAP.
 
     Write k = gram . K and q_i(v) = g_ii v^2 - k_i v.  On a diagonal gram
     matrix the quadratic condition D.G.D - D.K = 2(h^2 - chi) is the sum of
@@ -191,6 +196,10 @@ def enumerate_bounded(
     if width ** (rank - 1) > iteration_ceiling:
         raise BoxTooLarge(
             f"{width ** (rank - 1)} iterations exceed ceiling {iteration_ceiling}"
+        )
+    if rank * width > _TABLE_CAP:
+        raise BoxTooLarge(
+            f"{rank * width} search table entries exceed cap {_TABLE_CAP}"
         )
     # Pivot on the largest coefficient of the linear form for best pruning;
     # it is nonzero because h^2 > 0.

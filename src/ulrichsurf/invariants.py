@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+from operator import index
 from typing import Optional
 
 from .errors import MissingHypothesis, ValidationError
@@ -22,6 +23,8 @@ __all__ = [
     "SurfaceKind",
     "HypothesisFlags",
     "PolarizedSurface",
+    "hypothesis_flag",
+    "standing_hypotheses",
     "DerivedInvariants",
     "ChernData",
     "SanityCheck",
@@ -38,6 +41,8 @@ Flag = Optional[bool]
 
 # Number of integer parameters each kind carries.
 KIND_ARITY = {"p2": 1, "hirzebruch": 3, "blowup_p2": 0, "enriques": 0, "abstract": 0}
+# Kinds on which |-K| is non-empty for every member, however it is built.
+ANTICANONICAL_KINDS = frozenset({"p2", "hirzebruch"})
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,8 @@ class SurfaceKind:
     """Family tag of a surface, with its integer parameters.
 
     ``anticanonical`` records that |-K| is known non-empty for this family,
-    which unlocks the auto-derived cohomological facts in classify.
+    which makes some hypotheses theorems (see hypothesis_flag); it is
+    always true for ANTICANONICAL_KINDS.
     """
 
     name: str
@@ -55,21 +61,23 @@ class SurfaceKind:
     def __post_init__(self):
         if self.name not in KIND_ARITY:
             raise ValidationError("kind", f"unknown kind {self.name!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(map(index, self.params)))
         if len(self.params) != KIND_ARITY[self.name]:
             raise ValidationError(
                 "kind",
                 f"wrong number of parameters for {self.name!r}: "
                 f"expected {KIND_ARITY[self.name]}, got {len(self.params)}",
             )
+        if self.name in ANTICANONICAL_KINDS:
+            object.__setattr__(self, "anticanonical", True)
 
     @staticmethod
     def p2(lam: int) -> "SurfaceKind":
-        return SurfaceKind("p2", (lam,), anticanonical=True)
+        return SurfaceKind("p2", (lam,))
 
     @staticmethod
     def hirzebruch(e: int, a: int, b: int) -> "SurfaceKind":
-        return SurfaceKind("hirzebruch", (e, a, b), anticanonical=True)
+        return SurfaceKind("hirzebruch", (e, a, b))
 
     @staticmethod
     def blowup_p2(anticanonical: bool = False) -> "SurfaceKind":
@@ -83,18 +91,28 @@ class SurfaceKind:
     def abstract() -> "SurfaceKind":
         return SurfaceKind("abstract")
 
+    def lattice_invariants(self) -> tuple[int, int, int, int] | None:
+        """(rank, h^2, h.K, K^2) that the parameters fix, or None; none
+        of them depends on the basis."""
+        if self.name == "p2":
+            (lam,) = self.params
+            return 1, lam * lam, -3 * lam, 9
+        if self.name == "hirzebruch":
+            e, a, b = self.params
+            return 2, 2 * a * b - a * a * e, a * e - 2 * a - 2 * b, 8
+        return None
+
     def to_string(self) -> str:
         parts = self.name
         if self.params:
             parts += ":" + ",".join(str(p) for p in self.params)
-        if self.anticanonical and self.name not in ("p2", "hirzebruch"):
+        if self.anticanonical and self.name not in ANTICANONICAL_KINDS:
             parts += ":anticanonical"
         return parts
 
     @staticmethod
     def from_string(text: str) -> "SurfaceKind":
         pieces = text.split(":")
-        name = pieces[0]
         anticanonical = False
         params: tuple[int, ...] | None = None
         for piece in pieces[1:]:
@@ -109,9 +127,7 @@ class SurfaceKind:
                     params = tuple(int(p) for p in piece.split(","))
                 except ValueError:
                     raise ValidationError("kind", f"bad parameters in {text!r}")
-        if name in ("p2", "hirzebruch"):
-            anticanonical = True
-        return SurfaceKind(name, params or (), anticanonical=anticanonical)
+        return SurfaceKind(pieces[0], params or (), anticanonical=anticanonical)
 
 
 @dataclass(frozen=True)
@@ -190,6 +206,29 @@ class PolarizedSurface:
         return self.lattice.pair(D, E)
 
 
+# Flags that are theorems on Enriques and on anticanonical surfaces: h is
+# non-special there, and h^0(2K - h) = 0, as 2K is numerically trivial or
+# h - K is effective.
+AUTO_DERIVED_FLAGS = ("non_special", "h0_2K_minus_h_zero")
+
+
+def hypothesis_flag(S: PolarizedSurface, name: str) -> Flag:
+    """The flag ``name`` of S as asserted or, when unknown, true where the
+    kind makes it a theorem.  Every verdict reads its hypotheses here."""
+    asserted = getattr(S.flags, name)
+    if asserted is None and name in AUTO_DERIVED_FLAGS and (
+        S.kind.anticanonical or S.kind.name == "enriques"
+    ):
+        return True
+    return asserted
+
+
+def standing_hypotheses(S: PolarizedSurface) -> bool:
+    """pg = q = 0 and h non-special, asserted or auto-derived: the
+    hypotheses under which N, the verdicts and the sanity checks hold."""
+    return S.pg == 0 and S.q == 0 and hypothesis_flag(S, "non_special") is True
+
+
 @dataclass(frozen=True)
 class ChernData:
     """Numeric shadow of a vector bundle: (rank, c_1, c_2)."""
@@ -199,10 +238,11 @@ class ChernData:
     c2: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", index(self.rank))
         if self.rank < 1:
             raise ValidationError("rank", "must be a positive integer")
         object.__setattr__(self, "c1", as_divisor(self.c1))
-        object.__setattr__(self, "c2", int(self.c2))
+        object.__setattr__(self, "c2", index(self.c2))
 
 
 @dataclass(frozen=True)
@@ -218,17 +258,7 @@ class DerivedInvariants:
     h0_h_plus_K: Optional[int]
 
     def to_dict(self) -> dict:
-        return {
-            "h2": self.h2,
-            "hK": self.hK,
-            "K2": self.K2,
-            "chi": self.chi,
-            "pi": self.pi,
-            "N": self.N,
-            "h0_h": self.h0_h,
-            "degZ": self.degZ,
-            "h0_h_plus_K": self.h0_h_plus_K,
-        }
+        return dict(vars(self))
 
 
 def chi_structure(pg: int, q: int) -> int:
@@ -241,16 +271,15 @@ def chi_structure(pg: int, q: int) -> int:
 def derived_invariants(S: PolarizedSurface) -> DerivedInvariants:
     """All numerical invariants derivable from the lattice data.
 
-    N (and with it h^0(h) = N + 1 and deg Z = N + 2) is only computed when
-    pg = q = 0 and non_special is asserted true; otherwise those fields are
-    None rather than guessed.  h^0(h + K) is the sectional genus when it is
-    at least 1 (Kodaira vanishing range), absent otherwise.
+    N (and with it h^0(h) = N + 1 and deg Z = N + 2) is only computed under
+    the standing hypotheses; otherwise those fields are None rather than
+    guessed.  h^0(h + K) is the sectional genus when it is at least 1
+    (Kodaira vanishing range), absent otherwise.
     """
     h2 = S.h2
     hK = S.hK
     pi = S.pi
-    embedded = S.pg == 0 and S.q == 0 and S.flags.non_special is True
-    if embedded:
+    if standing_hypotheses(S):
         N = (h2 - hK) // 2
         h0_h = N + 1
         degZ = N + 2
@@ -316,9 +345,9 @@ class SanityReport:
 def embedding_sanity(S: PolarizedSurface) -> SanityReport:
     """Degree/dimension inequalities forced by the projective embedding.
 
-    Requires pg = q = 0 and non_special = true (the hypotheses under which
-    N is defined).  Each inequality is reported individually; clauses with
-    unmet preconditions are recorded as vacuously passing.
+    Requires the standing hypotheses, under which N is defined.  Each
+    inequality is reported individually; clauses with unmet preconditions
+    are recorded as vacuously passing.
     """
     inv = derived_invariants(S)
     if inv.N is None:
@@ -330,20 +359,14 @@ def embedding_sanity(S: PolarizedSurface) -> SanityReport:
         SanityCheck("h2 = hK + 2N", h2 == hK + 2 * N, f"{h2} vs {hK + 2 * N}"),
         SanityCheck("h2 >= hK + 4", h2 >= hK + 4, f"{h2} >= {hK + 4}"),
     ]
-    if h2 >= 2:
-        checks.append(SanityCheck("h2 >= 2 => N >= 3", N >= 3, f"N = {N}"))
-        checks.append(
-            SanityCheck("h2 >= 2 => h2 >= hK + 6", h2 >= hK + 6, f"{h2} >= {hK + 6}")
+    for floor, n_min, gap in ((2, 3, 6), (4, 4, 8)):
+        clauses = (
+            (f"h2 >= {floor} => N >= {n_min}", N >= n_min, f"N = {N}"),
+            (f"h2 >= {floor} => h2 >= hK + {gap}", h2 >= hK + gap,
+             f"{h2} >= {hK + gap}"),
         )
-    else:
-        checks.append(SanityCheck("h2 >= 2 => N >= 3", True, "vacuous"))
-        checks.append(SanityCheck("h2 >= 2 => h2 >= hK + 6", True, "vacuous"))
-    if h2 >= 4:
-        checks.append(SanityCheck("h2 >= 4 => N >= 4", N >= 4, f"N = {N}"))
-        checks.append(
-            SanityCheck("h2 >= 4 => h2 >= hK + 8", h2 >= hK + 8, f"{h2} >= {hK + 8}")
-        )
-    else:
-        checks.append(SanityCheck("h2 >= 4 => N >= 4", True, "vacuous"))
-        checks.append(SanityCheck("h2 >= 4 => h2 >= hK + 8", True, "vacuous"))
+        for name, ok, detail in clauses:
+            if h2 < floor:
+                ok, detail = True, "vacuous"
+            checks.append(SanityCheck(name, ok, detail))
     return SanityReport(tuple(checks))

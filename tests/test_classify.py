@@ -20,7 +20,7 @@ from ulrichsurf.classify import (
     stable_special_exists,
 )
 from ulrichsurf.errors import MissingHypothesis
-from ulrichsurf.invariants import HypothesisFlags, PolarizedSurface
+from ulrichsurf.invariants import HypothesisFlags, PolarizedSurface, SurfaceKind
 from ulrichsurf.lattice import DivisorClass, hirzebruch_lattice, make_lattice
 
 
@@ -174,3 +174,41 @@ def test_wild_implies_special_on_catalog():
     for S in surfaces:
         if is_ulrich_wild(S) is Verdict.TRUE:
             assert special_rank2_exists(S) is Verdict.TRUE
+
+
+@pytest.mark.parametrize("built,direct", [
+    (SurfaceKind.p2(2), SurfaceKind("p2", (2,))),
+    (SurfaceKind.hirzebruch(1, 2, 4), SurfaceKind("hirzebruch", (1, 2, 4))),
+])
+def test_kind_built_directly_classifies_as_its_constructor(built, direct):
+    # non_special left unknown: only the kind's anticanonical tag supplies it;
+    # a directly built plane used to answer unknown where p2(2) answered true
+    def surface(kind):
+        base = p2_surface(2) if kind.name == "p2" else hirzebruch_surface(1, 2, 4)
+        return PolarizedSurface(
+            lattice=base.lattice,
+            h=base.h,
+            kind=kind,
+            flags=HypothesisFlags(very_ample=True),
+        )
+
+    assert direct == built
+    report = classify(surface(direct))
+    assert report == classify(surface(built))
+    assert report.special_rank2_exists is Verdict.TRUE
+    assert report.stable_special_exists is Verdict.TRUE
+
+
+def test_moduli_injective_bound_with_auto_derived_non_special():
+    # the anticanonical degree-7 del Pezzo surface asserting h^0(h - K) = 0
+    # but leaving h non-special to its kind: N is known, so the bound is too
+    S = del_pezzo(7)
+    S = PolarizedSurface(
+        lattice=S.lattice,
+        h=S.h,
+        kind=S.kind,
+        flags=HypothesisFlags(very_ample=True, h0_h_minus_K_zero=True),
+    )
+    dims = moduli_dims(S)
+    assert dims.lower_injective == 2 * ((S.h2 - S.hK) // 2 + 2) == 18
+    assert dims.smooth == dims.lower_chern == S.h2 - S.K2 + 5

@@ -306,6 +306,85 @@ def test_plane_and_hirzebruch_builtins_round_trip_through_convert(capsys, tmp_pa
     assert invoke(capsys, "convert", "--surface", str(path)) == (0, out, "")
 
 
+def _validation_error(err, fmt, error_type="ValidationError"):
+    """The message of the one structured error on stderr."""
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", error_type)
+        return error["message"]
+    prefix = f"error ({error_type}): "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    return err[len(prefix):-1]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("field,value,message", [
+    ("pg", True, "pg: expected an integer, got a boolean"),
+    ("pg", 1.5, "pg: expected an integer, got a number"),
+    ("q", "0", "q: expected an integer, got a string"),
+    ("name", 5, "name: expected a string, got an integer"),
+    ("basis", "l,e1", "basis: expected a list, got a string"),
+    ("basis", None, "basis: expected a list, got null"),
+    ("flags", ["very_ample"], "flags: expected an object, got a list"),
+    ("gram", {"0": [1]}, "gram: expected a list, got an object"),
+])
+def test_wrong_field_type_is_named_in_json_terms(capsys, tmp_path, field, value, message, fmt):
+    # the message used to print the Python type: "expected <class 'int'>"
+    doc = {"gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [2, -1]}
+    doc[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert _validation_error(err, fmt) == message
+
+
+def test_anticanonical_document_gets_the_builtin_info(capsys, tmp_path):
+    # del-pezzo-7 as a document that leaves non_special to its kind,
+    # blowup_p2:anticanonical; info used to report N as unavailable while
+    # classify derived the flag
+    code, text, _ = invoke(capsys, "convert", "--builtin", "del-pezzo-7")
+    doc = json.loads(text)
+    assert code == 0 and doc["kind"] == "blowup_p2:anticanonical"
+    doc["flags"]["non_special"] = "unknown"
+    doc["name"] = "dp7-document"
+    path = tmp_path / "dp7.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("table", "json"):
+        got = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+        want = invoke(capsys, "info", "--builtin", "del-pezzo-7", "--format", fmt)
+        assert got[0] == want[0] == 0
+        assert got[1].replace("dp7-document", "del-pezzo-7") == want[1]
+    data = json.loads(got[1])
+    assert data["N"] == 7 and data["embedding_sanity"]["passed"] is True
+    code, out, _ = invoke(capsys, "classify", "--surface", str(path), "--format", "json")
+    assert json.loads(out)["special_rank2_exists"] == "true"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_box_with_oversized_tables_exits_1(capsys, fmt):
+    # one box point, but 2 * 10^6 + 1 table entries, some 0.5 GB; at
+    # --bound 10^9 the tables used to exhaust memory (exit 3, MemoryError)
+    code, out, err = invoke(
+        capsys, "enumerate", "--builtin", "p2-1", "--bound", "1000000", "--format", fmt
+    )
+    assert code == 1 and out == ""
+    message = _validation_error(err, fmt, "BoxTooLarge")
+    assert message == "2000001 search table entries exceed cap 1000000"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_degenerate_line_locus_exits_1(capsys, tmp_path, fmt):
+    # the quadratic along the solution line of D.h = r vanishes identically
+    # (A = B = C = 0), so every point of the line is a solution
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"gram": [[2, 0], [0, 0]], "K": [1, 0], "h": [1, 0], "q": 1}))
+    code, out, err = invoke(capsys, "enumerate", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    message = _validation_error(err, fmt, "DegenerateForm")
+    assert message == "infinitely many solutions along the linear locus"
+
+
 # ---------------------------------------------------------------------------
 # Unexpected exceptions
 

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -305,6 +306,28 @@ def test_box_too_large_before_any_search_work(monkeypatch):
         enumerate_bounded(S, 100, iteration_ceiling=1000)
 
 
+def test_table_cap_before_any_search_work(monkeypatch):
+    # p2-1 has a one-point box at every bound: only its tables grow
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search work started")
+
+    monkeypatch.setattr(enumeration, "product", forbidden)
+    monkeypatch.setattr(enumeration, "line_numeric_check", forbidden)
+    with pytest.raises(BoxTooLarge, match="search table entries exceed cap"):
+        enumerate_bounded(p2_surface(1), enumeration._TABLE_CAP // 2)
+
+
+def test_table_cap_admits_the_largest_shipped_box(monkeypatch):
+    # table1-row-1 at B = 1000, the largest box in the README, the tests and
+    # the benchmark, needs 2 * 2001 = 4002 entries
+    S = builtin_surface("table1-row-1")
+    assert 2 * 2001 <= enumeration._TABLE_CAP
+    monkeypatch.setattr(enumeration, "_TABLE_CAP", 2 * 2001)
+    assert enumerate_bounded(S, 1000) == reference_enumerate_bounded(S, 1000)
+    with pytest.raises(BoxTooLarge):
+        enumerate_bounded(S, 1001)
+
+
 # ---------------------------------------------------------------------------
 # Work-count guards: they count work rather than time it
 
@@ -372,3 +395,71 @@ def test_bounded_draws_the_whole_box_once(monkeypatch, name, bound):
     solutions = enumerate_bounded(S, bound)
     assert draws == [{"items": (2 * bound + 1) ** (S.lattice.rank - 1), "exhausted": True}]
     assert sorted(checks, key=lambda D: D.coeffs) == solutions
+
+
+# ---------------------------------------------------------------------------
+# Branches of the rank-2 solver
+
+
+def _exact_in_box(S, bound):
+    return [D for D in enumerate_rank2_exact(S) if max(map(abs, D.coeffs)) <= bound]
+
+
+def test_exact_when_the_gcd_does_not_divide_the_degree():
+    # D.h = 2 D_0 + 2 D_1 would have to be (3 h^2 + h.K)/2 = 13
+    S = builtin_surface("hirzebruch-e1-a2-b4")
+    assert S.gram_h == (2, 2) and (3 * S.h2 + S.hK) // 2 == 13
+    assert enumerate_rank2_exact(S) == [] == enumerate_bounded(S, 30)
+
+
+def test_exact_when_the_discriminant_is_not_a_square(monkeypatch):
+    discriminants = []
+    integer_roots = enumeration._integer_roots
+
+    def recorded(A, B, C):
+        discriminants.append(B * B - 4 * A * C)
+        return integer_roots(A, B, C)
+
+    monkeypatch.setattr(enumeration, "_integer_roots", recorded)
+    S = builtin_surface("enriques-10")
+    assert enumerate_rank2_exact(S) == [] == enumerate_bounded(S, 40)
+    (disc,) = discriminants
+    assert disc > 0 and isqrt(disc) ** 2 != disc
+
+
+@st.composite
+def rank2_surfaces(draw):
+    entries = st.integers(-3, 3)
+    a, b, d = draw(entries), draw(entries), draw(entries)
+    K = draw(st.lists(entries, min_size=2, max_size=2))
+    h = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+    lattice = make_lattice(_fix_parity([[a, b], [b, d]], K), K, ["b0", "b1"])
+    assume(lattice.pair(h, h) > 0)
+    return PolarizedSurface(lattice=lattice, h=h)
+
+
+@given(surface=rank2_surfaces())
+@settings(max_examples=200, deadline=None)
+# gram . h = (-2, -1): the remainder sequence of the extended gcd ends at -1
+@example(surface=_surface([[1, 0], [0, -1]], [-3, 1], [-2, 1]))
+# a negative discriminant: the quadratic along the line has no real root
+@example(surface=_surface([[1, 0], [0, 1]], [-1, -1], [1, 1]))
+# the solution line runs along the kernel of the form: A = B = 0, and
+# C = 2, or C = 0 with q = 1, when every point of the line solves
+@example(surface=_surface([[2, 0], [0, 0]], [1, 2], [1, 0]))
+@example(surface=PolarizedSurface(
+    lattice=make_lattice([[2, 0], [0, 0]], [1, 0], ["b0", "b1"]), h=(1, 0), q=1))
+def test_exact_matches_bounded_on_generated_rank2_lattices(surface):
+    g, x, y = enumeration._ext_gcd(*surface.gram_h)
+    assert g == gcd(*surface.gram_h) and x * surface.gram_h[0] + y * surface.gram_h[1] == g
+    try:
+        exact = _exact_in_box(surface, 6)
+    except DegenerateForm:
+        # the whole solution line solves the quadratic: a solution moved
+        # along ker(D -> D.h) is again a solution
+        w0, w1 = surface.gram_h
+        V = DivisorClass((w1 // g, -w0 // g))
+        for D in enumerate_bounded(surface, 6):
+            assert line_numeric_check(surface, D + V).passed
+        return
+    assert exact == enumerate_bounded(surface, 6)

@@ -15,6 +15,7 @@ from ulrichsurf.classify import classify
 from ulrichsurf.enumeration import enumerate_bounded
 from ulrichsurf.errors import MissingHypothesis
 from ulrichsurf.invariants import (
+    AUTO_DERIVED_FLAGS,
     ChernData,
     HypothesisFlags,
     PolarizedSurface,
@@ -23,7 +24,9 @@ from ulrichsurf.invariants import (
     chi_structure,
     derived_invariants,
     embedding_sanity,
+    hypothesis_flag,
     riemann_roch_chi,
+    standing_hypotheses,
 )
 from ulrichsurf.lattice import DivisorClass, make_lattice
 from ulrichsurf.ulrich import line_numeric_check, special_rank2_chern
@@ -161,6 +164,94 @@ def test_kind_string_round_trip():
     ]
     for kind in kinds:
         assert SurfaceKind.from_string(kind.to_string()) == kind
+
+
+@pytest.mark.parametrize("name,params", [("p2", (2,)), ("hirzebruch", (1, 1, 3))])
+def test_plane_and_hirzebruch_are_anticanonical_however_built(name, params):
+    built = getattr(SurfaceKind, name)(*params)
+    text = f"{name}:{','.join(map(str, params))}"
+    for kind in (
+        SurfaceKind(name, params),
+        SurfaceKind(name, params, anticanonical=False),
+        SurfaceKind.from_string(text),
+        SurfaceKind.from_string(text + ":anticanonical"),
+    ):
+        assert kind.anticanonical is True and kind == built
+        assert kind.to_string() == text
+
+
+@pytest.mark.parametrize("params", [(2.9,), (2.0,), ("2",)])
+def test_kind_parameters_must_be_integers(params):
+    with pytest.raises(TypeError):
+        SurfaceKind("p2", params)
+
+
+@pytest.mark.parametrize("rank,c2", [(2, 3.7), (2, 3.0), (2.5, 3), ("2", 3), (2, "3")])
+def test_chern_data_rank_and_c2_must_be_integers(rank, c2):
+    with pytest.raises(TypeError):
+        ChernData(rank, DivisorClass((1,)), c2)
+
+
+def test_chern_data_keeps_integers():
+    F = ChernData(2, (1,), 3)
+    assert (F.rank, F.c1, F.c2) == (2, DivisorClass((1,)), 3)
+    assert type(F.rank) is int and type(F.c2) is int
+
+
+def _flagged(kind, flags):
+    return PolarizedSurface(
+        lattice=make_lattice([[1, 0], [0, -1]], [-3, 1], ["l", "e1"]),
+        h=DivisorClass((2, -1)),
+        kind=kind,
+        flags=flags,
+    )
+
+
+AUTO_KINDS = [SurfaceKind.p2(2), SurfaceKind.hirzebruch(0, 1, 1),
+              SurfaceKind.blowup_p2(anticanonical=True), SurfaceKind.enriques()]
+
+
+@pytest.mark.parametrize("kind", AUTO_KINDS, ids=SurfaceKind.to_string)
+def test_unknown_flags_auto_derive_where_the_kind_makes_them_theorems(kind):
+    S = _flagged(kind, HypothesisFlags())
+    assert hypothesis_flag(S, "non_special") is True
+    assert hypothesis_flag(S, "h0_2K_minus_h_zero") is True
+    # the other two are never theorems of the kind
+    assert hypothesis_flag(S, "very_ample") is None
+    assert hypothesis_flag(S, "h0_h_minus_K_zero") is None
+    assert standing_hypotheses(S)
+
+
+@pytest.mark.parametrize("kind", AUTO_KINDS, ids=SurfaceKind.to_string)
+def test_asserted_flags_win_over_auto_derivation(kind):
+    flags = HypothesisFlags(non_special=False, h0_2K_minus_h_zero=False)
+    S = _flagged(kind, flags)
+    assert hypothesis_flag(S, "non_special") is False
+    assert hypothesis_flag(S, "h0_2K_minus_h_zero") is False
+    assert not standing_hypotheses(S)
+
+
+@pytest.mark.parametrize("kind", [SurfaceKind.abstract(), SurfaceKind.blowup_p2()],
+                         ids=SurfaceKind.to_string)
+def test_no_auto_derivation_without_a_theorem(kind):
+    S = _flagged(kind, HypothesisFlags())
+    assert [hypothesis_flag(S, name) for name in AUTO_DERIVED_FLAGS] == [None, None]
+    assert not standing_hypotheses(S)
+    assert derived_invariants(S).N is None
+
+
+def test_standing_hypotheses_need_pg_and_q_zero():
+    for pg, q in ((1, 0), (0, 1)):
+        S = PolarizedSurface(
+            lattice=make_lattice([[0, 1], [1, 0]], [0, 0], ["u", "v"]),
+            h=DivisorClass((1, 4)),
+            pg=pg,
+            q=q,
+            kind=SurfaceKind.enriques(),
+            flags=HypothesisFlags(non_special=True),
+        )
+        assert not standing_hypotheses(S)
+        assert derived_invariants(S).N is None
 
 
 # ---------------------------------------------------------------------------
