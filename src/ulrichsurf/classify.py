@@ -5,6 +5,9 @@ are conditional on cohomological hypotheses which are asserted flags, never
 silently assumed.  For well-studied families (Enriques surfaces and
 anticanonical rational surfaces) some hypotheses are auto-derived; every
 flag is read through invariants.hypothesis_flag, which says which.
+
+classify decides each verdict once; the public verdict functions read its
+sheet and keep their MissingHypothesis raises.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ from typing import Optional
 
 from .errors import MissingHypothesis
 from .invariants import (
-    PolarizedSurface,
-    derived_invariants,
-    hypothesis_flag,
-    standing_hypotheses,
+    PolarizedSurface, derived_invariants, hypothesis_flag, standing_hypotheses,
 )
 
 __all__ = [
@@ -50,9 +50,13 @@ def special_rank2_exists(S: PolarizedSurface) -> Verdict:
     unknown whenever a hypothesis is unknown.  Never false: no
     nonexistence statement is available.
     """
-    if standing_hypotheses(S) and hypothesis_flag(S, "very_ample") is True:
-        return Verdict.TRUE
-    return Verdict.UNKNOWN
+    return classify(S).special_rank2_exists
+
+
+def _stability_read(report: "ClassificationReport") -> Verdict:
+    if report.special_rank2_exists is not Verdict.TRUE:
+        raise MissingHypothesis("stability decision needs special_rank2_exists = true")
+    return report.stable_special_exists
 
 
 def stable_special_exists(S: PolarizedSurface) -> Verdict:
@@ -64,20 +68,7 @@ def stable_special_exists(S: PolarizedSurface) -> Verdict:
     genus >= 1 surfaces; unknown for untagged minimal-degree data, where
     the numbers cannot distinguish a scroll from the Veronese surface.
     """
-    if special_rank2_exists(S) is not Verdict.TRUE:
-        raise MissingHypothesis(
-            "stability decision needs special_rank2_exists = true"
-        )
-    kind = S.kind
-    if kind.name == "hirzebruch":
-        _, a, _ = kind.params
-        return Verdict.FALSE if a == 1 else Verdict.TRUE
-    if kind.name == "p2":
-        (lam,) = kind.params
-        return Verdict.FALSE if lam == 1 else Verdict.TRUE
-    if kind.name == "abstract" and S.pi == 0:
-        return Verdict.UNKNOWN
-    return Verdict.TRUE
+    return _stability_read(classify(S))
 
 
 def is_ulrich_wild(S: PolarizedSurface) -> Verdict:
@@ -92,11 +83,7 @@ def is_ulrich_wild(S: PolarizedSurface) -> Verdict:
     (Faenzi-Malaspinas, Adv. Math. 314, 2017), with at most
     one-dimensional families.  Unknown outside the standing hypotheses.
     """
-    if not standing_hypotheses(S):
-        return Verdict.UNKNOWN
-    if S.pi >= 1 or S.h2 >= 5:
-        return Verdict.TRUE
-    return Verdict.FALSE
+    return classify(S).ulrich_wild
 
 
 def wild_via_lemma(S: PolarizedSurface) -> bool:
@@ -122,15 +109,11 @@ def moduli_dims(S: PolarizedSurface) -> ModuliDims:
 
     A stable bundle needs the standing hypotheses, so N is known here.
     """
-    if stable_special_exists(S) is not Verdict.TRUE:
+    report = classify(S)
+    if _stability_read(report) is not Verdict.TRUE:
         raise MissingHypothesis("moduli dimensions need a stable bundle")
-    N = derived_invariants(S).N
-    lower_chern = S.h2 - S.K2 + 5
-    lower_injective = None
-    if hypothesis_flag(S, "h0_h_minus_K_zero") is True:
-        lower_injective = 2 * (N + 2)
-    smooth = lower_chern if hypothesis_flag(S, "h0_2K_minus_h_zero") is True else None
-    return ModuliDims(lower_chern, lower_injective, smooth)
+    return ModuliDims(report.moduli_dim_lower_chern,
+                      report.moduli_dim_lower_injective, report.moduli_dim_smooth)
 
 
 @dataclass(frozen=True)
@@ -159,22 +142,39 @@ class ClassificationReport:
         }
 
 
+def _stability(S: PolarizedSurface) -> Verdict:
+    """The stability rule, on a surface with a special rank-2 Ulrich bundle."""
+    kind = S.kind
+    if kind.name == "hirzebruch":
+        _, a, _ = kind.params
+        return Verdict.FALSE if a == 1 else Verdict.TRUE
+    if kind.name == "p2":
+        (lam,) = kind.params
+        return Verdict.FALSE if lam == 1 else Verdict.TRUE
+    if kind.name == "abstract" and S.pi == 0:
+        return Verdict.UNKNOWN
+    return Verdict.TRUE
+
+
 def classify(S: PolarizedSurface) -> ClassificationReport:
-    """Full verdict sheet for a polarized surface."""
-    special = special_rank2_exists(S)
-    if special is Verdict.TRUE:
-        stable = stable_special_exists(S)
-    else:
-        stable = Verdict.UNKNOWN
+    """Full verdict sheet for a polarized surface, each verdict decided once."""
+    standing = standing_hypotheses(S)
+    embedded = standing and hypothesis_flag(S, "very_ample") is True
+    special = Verdict.TRUE if embedded else Verdict.UNKNOWN
+    stable = _stability(S) if special is Verdict.TRUE else Verdict.UNKNOWN
+    lower_chern = S.h2 - S.K2 + 5
+    lower_injective = smooth = None
     if stable is Verdict.TRUE:
-        dims = moduli_dims(S)
-    else:
-        dims = ModuliDims(S.h2 - S.K2 + 5, None, None)
+        if hypothesis_flag(S, "h0_h_minus_K_zero") is True:
+            lower_injective = 2 * (derived_invariants(S).N + 2)
+        if hypothesis_flag(S, "h0_2K_minus_h_zero") is True:
+            smooth = lower_chern
+    wild = Verdict.UNKNOWN
+    if standing:
+        wild = Verdict.TRUE if S.pi >= 1 or S.h2 >= 5 else Verdict.FALSE
     notes = []
     if S.kind.anticanonical and S.kind.name == "blowup_p2" and S.pi >= 1:
-        notes.append(
-            "moduli space irreducible rational smooth of dimension h2 - K2 + 5"
-        )
+        notes.append("moduli space irreducible rational smooth of dimension h2 - K2 + 5")
     if S.kind.anticanonical:
         notes.append(
             "anticanonical wildness threshold h2 >= 4 has exceptions at "
@@ -188,11 +188,11 @@ def classify(S: PolarizedSurface) -> ClassificationReport:
     return ClassificationReport(
         special_rank2_exists=special,
         stable_special_exists=stable,
-        ulrich_wild=is_ulrich_wild(S),
+        ulrich_wild=wild,
         wild_via_lemma=wild_via_lemma(S),
         minimal_degree=S.pi == 0,
-        moduli_dim_lower_chern=dims.lower_chern,
-        moduli_dim_lower_injective=dims.lower_injective,
-        moduli_dim_smooth=dims.smooth,
+        moduli_dim_lower_chern=lower_chern,
+        moduli_dim_lower_injective=lower_injective,
+        moduli_dim_smooth=smooth,
         notes=tuple(notes),
     )

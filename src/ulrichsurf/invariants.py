@@ -68,6 +68,16 @@ class SurfaceKind:
                 f"wrong number of parameters for {self.name!r}: "
                 f"expected {KIND_ARITY[self.name]}, got {len(self.params)}",
             )
+        # the windows in which p2_surface and hirzebruch_surface build h
+        if self.name == "p2" and self.params[0] < 1:
+            raise ValidationError("kind", f"p2 needs lambda >= 1, got {self.params[0]}")
+        if self.name == "hirzebruch":
+            e, a, b = self.params
+            if e < 0 or a < 1 or b < a * e + 1:
+                raise ValidationError(
+                    "kind",
+                    f"hirzebruch needs e >= 0, a >= 1 and b >= a*e + 1, got {self.params}",
+                )
         if self.name in ANTICANONICAL_KINDS:
             object.__setattr__(self, "anticanonical", True)
 

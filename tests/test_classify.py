@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from ulrichsurf.catalog import (
@@ -212,3 +214,51 @@ def test_moduli_injective_bound_with_auto_derived_non_special():
     dims = moduli_dims(S)
     assert dims.lower_injective == 2 * ((S.h2 - S.hK) // 2 + 2) == 18
     assert dims.smooth == dims.lower_chern == S.h2 - S.K2 + 5
+
+
+# ---------------------------------------------------------------------------
+# classify decides each verdict once; the public verdict functions read it
+
+def _count_calls(monkeypatch, name):
+    # ulrichsurf.classify, the package attribute, is the function; the
+    # module comes from the import system
+    module = importlib.import_module("ulrichsurf.classify")
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classify_reads_each_hypothesis_once(monkeypatch):
+    standing = _count_calls(monkeypatch, "standing_hypotheses")
+    flags = _count_calls(monkeypatch, "hypothesis_flag")
+    report = classify(del_pezzo(3))
+    assert report.stable_special_exists is Verdict.TRUE
+    assert len(standing) == 1
+    assert sorted(flags) == [
+        ("h0_2K_minus_h_zero",), ("h0_h_minus_K_zero",), ("very_ample",),
+    ]
+
+
+@pytest.mark.parametrize("reader", [
+    special_rank2_exists, stable_special_exists, is_ulrich_wild, moduli_dims,
+])
+def test_each_verdict_reader_runs_classify_once(monkeypatch, reader):
+    runs = _count_calls(monkeypatch, "classify")
+    reader(del_pezzo(3))
+    assert len(runs) == 1
+
+
+def test_readers_keep_their_missing_hypothesis_messages():
+    bare = PolarizedSurface(lattice=make_lattice([[1]], [-3], ["l"]), h=DivisorClass((1,)))
+    for reader in (stable_special_exists, moduli_dims):
+        with pytest.raises(MissingHypothesis, match="^stability decision needs "
+                                                    "special_rank2_exists = true$"):
+            reader(bare)
+    with pytest.raises(MissingHypothesis, match="^moduli dimensions need a stable bundle$"):
+        moduli_dims(p2_surface(1))

@@ -249,6 +249,28 @@ def test_kind_with_wrong_parameter_count_is_a_validation_error(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("doc,message", [
+    ({"gram": [[1]], "K": [-3], "h": [-2], "kind": "p2:-2"},
+     "kind: p2 needs lambda >= 1, got -2"),
+    ({"gram": [[1, 1], [1, 0]], "K": [-2, -1], "h": [1, 1], "kind": "hirzebruch:-1,1,1"},
+     "kind: hirzebruch needs e >= 0, a >= 1 and b >= a*e + 1, got (-1, 1, 1)"),
+])
+def test_kind_outside_its_family_is_a_validation_error(capsys, tmp_path, doc, message, fmt):
+    # both documents match their kind's (rank, h^2, h.K, K^2), and classify
+    # used to answer them with exit 0: p2:-2 as stable and wild
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({**doc, "flags": {"very_ample": "true"}}))
+    code, out, err = invoke(capsys, "classify", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "ValidationError")
+        assert error["message"] == message
+    else:
+        assert err == f"error (ValidationError): {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("kind,message", [
     ("hirzebruch:1,2:0,1,2", "kind: more than one parameter group"),
     ("p2:1", "kind: 'p2:1' needs (rank, h^2, h.K, K^2)"),

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ulrichsurf.catalog import (
     builtin_surface,
     del_pezzo,
+    hirzebruch_surface,
     p1xp1_surface,
     p2_surface,
     parse_surface,
@@ -13,7 +14,7 @@ from ulrichsurf.catalog import (
 )
 from ulrichsurf.classify import classify
 from ulrichsurf.enumeration import enumerate_bounded
-from ulrichsurf.errors import MissingHypothesis
+from ulrichsurf.errors import InvalidPolarization, MissingHypothesis, ValidationError
 from ulrichsurf.invariants import (
     AUTO_DERIVED_FLAGS,
     ChernData,
@@ -153,6 +154,64 @@ def test_embedding_sanity_requires_hypotheses():
         embedding_sanity(S)
 
 
+# ---------------------------------------------------------------------------
+# Classical embedding identities: under the standing hypotheses with h very
+# ample, h embeds S linearly normally in P^N, which fixes integer identities
+# that the invariants must satisfy exactly.
+#
+# enriques-8 is left out: it asserts a very_ample that these identities
+# refute (h^2 = 8, hK = K^2 = 0 and chi = 1 give N = 4 and a double-point
+# value of -4, not 0), an open FOUND that waits on a benchmark change.
+
+EMBEDDED = [
+    "p2-1", "p2-2", "p2-3", "p2-5", "p1xp1-1-1", "p1xp1-1-3", "p1xp1-2-2",
+    "p1xp1-2-3", "p1xp1-3-4", "hirzebruch-e1-a1-b2", "hirzebruch-e1-a2-b4",
+    "hirzebruch-e2-a1-b3", "hirzebruch-e3-a2-b9", *(f"table1-row-{r}" for r in range(1, 8)),
+    "bordiga", *(f"del-pezzo-{d}" for d in range(3, 10)), "enriques-10", "enriques-12",
+    "kim-4-2", "kim-4-9", "kim-5-3", "kim-5-9",
+]
+
+
+def _embedded(name):
+    S = builtin_surface(name)
+    assert standing_hypotheses(S) and hypothesis_flag(S, "very_ample") is True
+    return S, derived_invariants(S).N
+
+
+@pytest.mark.parametrize("name", [n for n in EMBEDDED if _embedded(n)[1] == 4])
+def test_double_point_formula_in_p4(name):
+    # Hartshorne, Algebraic Geometry, App. A, Ex. 4.1.3
+    S, _ = _embedded(name)
+    d = S.h2
+    assert d * d - 10 * d - 5 * S.hK - 2 * S.K2 + 12 * S.chi == 0
+
+
+def test_double_point_formula_covers_table1_and_the_p4_builtins():
+    in_p4 = {n for n in EMBEDDED if _embedded(n)[1] == 4}
+    assert in_p4 == {*(f"table1-row-{r}" for r in range(1, 8)), "bordiga",
+                     "del-pezzo-4", "hirzebruch-e1-a1-b2"}
+
+
+@pytest.mark.parametrize("name", ["del-pezzo-3", "p1xp1-1-1"])
+def test_surfaces_in_p3_have_canonical_class_of_degree_d_minus_4(name):
+    # a smooth surface of degree d in P^3 has K = (d - 4)h
+    S, N = _embedded(name)
+    d = S.h2
+    assert N == 3
+    assert S.hK == d * (d - 4) and S.K2 == d * (d - 4) ** 2
+
+
+@pytest.mark.parametrize("name", [n for n in EMBEDDED if _embedded(n)[1] >= 3])
+def test_castelnuovo_bound_on_the_hyperplane_section(name):
+    # the hyperplane section is a curve of degree d in P^r, r = N - 1:
+    # d - 1 = m(r - 1) + eps, 0 <= eps < r - 1, gives
+    # pi <= m(m - 1)(r - 1)/2 + m eps (Harris, Curves in projective space)
+    S, N = _embedded(name)
+    r = N - 1
+    m, eps = divmod(S.h2 - 1, r - 1)
+    assert S.pi <= m * (m - 1) * (r - 1) // 2 + m * eps
+
+
 def test_kind_string_round_trip():
     kinds = [
         SurfaceKind.p2(2),
@@ -184,6 +243,41 @@ def test_plane_and_hirzebruch_are_anticanonical_however_built(name, params):
 def test_kind_parameters_must_be_integers(params):
     with pytest.raises(TypeError):
         SurfaceKind("p2", params)
+
+
+# p2_surface and hirzebruch_surface build h only in these windows:
+# lambda >= 1, and e >= 0, a >= 1, b >= a*e + 1
+@pytest.mark.parametrize("name,params", [
+    ("p2", (0,)), ("p2", (-2,)),
+    ("hirzebruch", (-1, 1, 1)), ("hirzebruch", (0, 0, 1)), ("hirzebruch", (0, 1, 0)),
+    ("hirzebruch", (1, 1, 1)), ("hirzebruch", (2, 2, 4)), ("hirzebruch", (1, -1, 3)),
+])
+def test_kind_parameters_outside_the_family_are_rejected(name, params):
+    text = f"{name}:{','.join(map(str, params))}"
+    for build in (lambda: SurfaceKind(name, params),
+                  lambda: getattr(SurfaceKind, name)(*params),
+                  lambda: SurfaceKind.from_string(text)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert info.value.path == "kind"
+        assert info.value.message.startswith(f"{name} needs ")
+
+
+@pytest.mark.parametrize("name,params", [
+    ("p2", (1,)), ("hirzebruch", (0, 1, 1)), ("hirzebruch", (1, 1, 2)),
+    ("hirzebruch", (2, 2, 5)), ("hirzebruch", (3, 1, 4)),
+])
+def test_kind_parameters_on_the_window_edge_are_accepted(name, params):
+    assert SurfaceKind(name, params).params == params
+
+
+def test_constructors_still_raise_invalid_polarization_first():
+    with pytest.raises(InvalidPolarization):
+        p2_surface(0)
+    with pytest.raises(InvalidPolarization):
+        hirzebruch_surface(-1, 1, 1)
+    with pytest.raises(InvalidPolarization):
+        hirzebruch_surface(1, 1, 1)
 
 
 @pytest.mark.parametrize("rank,c2", [(2, 3.7), (2, 3.0), (2.5, 3), ("2", 3), (2, "3")])
