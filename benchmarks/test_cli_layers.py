@@ -1,10 +1,12 @@
 """Per-layer timings of the fixed cost of a CLI request.
 
-Times the argument dispatch of ``cli.run`` on the README's example command
-lines, against the top-level parser's own ``parse_args``, and the indent-2
-JSON writer on what ``classify`` and ``enumerate`` print, against
-``json.dumps(indent=2)``.  Outside the test suite; run from the repository
-root with
+Times ``cli.run`` end to end on each of the README's example command lines,
+with stdout sent to a ``StringIO``; its argument dispatch on the same lines,
+against the top-level parser's own ``parse_args``; and the indent-2 JSON
+writer on what ``classify`` and ``enumerate`` print, against
+``json.dumps(indent=2)``.  ``convert --surface mine.json`` reads a
+temporary document written by ``convert --builtin kim-4-9``.  Outside the
+test suite; run from the repository root with
 
     python -m pytest benchmarks/test_cli_layers.py --benchmark-json BENCH_cli.json
 
@@ -39,6 +41,27 @@ README_ARGVS = [
     ["clifford", "--a", "4", "--m", "9"],
     ["convert", "--surface", "mine.json"],
 ]
+
+def _quiet_run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.run(argv)
+
+
+@pytest.fixture(scope="module")
+def document(tmp_path_factory) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["convert", "--builtin", "kim-4-9"]) == 0
+    path = tmp_path_factory.mktemp("documents") / "mine.json"
+    path.write_text(out.getvalue(), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", README_ARGVS, ids=" ".join)
+def test_run(benchmark, document, argv):
+    argv = [document if word == "mine.json" else word for word in argv]
+    assert benchmark(_quiet_run, argv) == 0
+
 
 PARSERS = {
     "direct": cli._parse_args,

@@ -294,11 +294,15 @@ def enriques_numeric(h2: int) -> PolarizedSurface:
     )
 
 
+def _check_kim_window(a: int, m: int) -> None:
+    if a < 4 or not 2 <= m <= 9:
+        raise OutOfRange(f"need a >= 4 and 2 <= m <= 9, got ({a}, {m})")
+
+
 def kim_cubic(a: int, m: int) -> PolarizedSurface:
     """Blow-up of the plane at m general points on a cubic curve, with
     h = a l - sum e_i.  Very ample for a >= 4 and 2 <= m <= 9."""
-    if a < 4 or not 2 <= m <= 9:
-        raise OutOfRange(f"need a >= 4 and 2 <= m <= 9, got ({a}, {m})")
+    _check_kim_window(a, m)
     lattice = blowup_p2_lattice(m)
     return PolarizedSurface(
         lattice=lattice,
@@ -334,8 +338,7 @@ class CliffordReport:
 
 
 def clifford_report(a: int, m: int) -> CliffordReport:
-    if a < 4 or not 2 <= m <= 9:
-        raise OutOfRange(f"need a >= 4 and 2 <= m <= 9, got ({a}, {m})")
+    _check_kim_window(a, m)
     pi = (a - 1) * (a - 2) // 2
     g = (3 * a - 4) * (3 * a - 5) // 2 - m
     deg_L = 3 * (a - 1) * (a - 3)

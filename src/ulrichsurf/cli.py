@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand renders the same computed object either as a plain text
-table or as JSON; the table is a rendering of the JSON dictionary, never a
-recomputation.  Exit codes: 0 success, 1 usage or validation error, 2 a
-verification command found a failing check, 3 internal error: an
-unexpected exception, which means a bug, not bad input.
+Each subcommand is a cmd_* handler that returns its output and its exit
+code and prints nothing: the output is a report dict, or the document text
+for convert.  run alone prints it, a dict either as a plain text table or
+as JSON (the table is a rendering of the JSON dictionary, never a
+recomputation) and a str as it is.  Exit codes: 0 success, 1 usage or
+validation error, 2 a verification command found a failing check, 3
+internal error: an unexpected exception, which means a bug, not bad input.
+A reader that closes stdout early changes no exit code.
 
 Most requests need only a few exact integer products, so the fixed cost
 of a request matters: the parser is built once per process, a command
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -122,18 +126,11 @@ def _json(value, depth: int = 0) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, data: dict) -> None:
-    if args.format == "json":
-        print(_json(data))
-    else:
-        print(_render_table(data))
-
-
 def _divisor_list(divisors) -> list[list[int]]:
     return [list(D.coeffs) for D in divisors]
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> tuple[dict, int]:
     S = _load_surface(args)
     inv = derived_invariants(S)
     data = {"surface": S.name or "(unnamed)", **inv.to_dict()}
@@ -141,36 +138,30 @@ def cmd_info(args) -> int:
         data["embedding_sanity"] = embedding_sanity(S).to_dict()
     else:
         data["embedding_sanity"] = "unavailable (needs pg = q = 0, non_special = true)"
-    _emit(args, data)
-    return EXIT_OK
+    return data, EXIT_OK
 
 
-def cmd_check_line(args) -> int:
+def cmd_check_line(args) -> tuple[dict, int]:
     S = _load_surface(args)
     D = _parse_coeffs(args.divisor)
     report = line_numeric_check(S, D)
-    _emit(args, {"surface": S.name, "divisor": list(D.coeffs), **report.to_dict()})
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    data = {"surface": S.name, "divisor": list(D.coeffs), **report.to_dict()}
+    return data, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_check_rank(args) -> int:
+def _chern_report(S, F: ChernData) -> dict:
+    return {"surface": S.name, "rank": F.rank, "c1": list(F.c1.coeffs), "c2": F.c2}
+
+
+def cmd_check_rank(args) -> tuple[dict, int]:
     S = _load_surface(args)
     F = ChernData(args.rank, _parse_coeffs(args.c1), args.c2)
     report = rank_numeric_check(S, F)
-    _emit(
-        args,
-        {
-            "surface": S.name,
-            "rank": F.rank,
-            "c1": list(F.c1.coeffs),
-            "c2": F.c2,
-            **report.to_dict(),
-        },
-    )
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    data = {**_chern_report(S, F), **report.to_dict()}
+    return data, EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[dict, int]:
     S = _load_surface(args)
     if args.bound is not None:
         solutions = enumerate_bounded(S, args.bound)
@@ -183,66 +174,47 @@ def cmd_enumerate(args) -> int:
                 "lattice rank exceeds 2; rerun with --bound B for a bounded search"
             )
         method = "exact rank-2 solver"
-    _emit(
-        args,
-        {
-            "surface": S.name,
-            "method": method,
-            "count": len(solutions),
-            "solutions": _divisor_list(solutions),
-            "note": "numerical candidates only",
-        },
-    )
-    return EXIT_OK
+    data = {
+        "surface": S.name,
+        "method": method,
+        "count": len(solutions),
+        "solutions": _divisor_list(solutions),
+        "note": "numerical candidates only",
+    }
+    return data, EXIT_OK
 
 
-def cmd_special_chern(args) -> int:
+def cmd_special_chern(args) -> tuple[dict, int]:
     S = _load_surface(args)
     F = special_rank2_chern(S)
-    _emit(
-        args,
-        {
-            "surface": S.name,
-            "rank": F.rank,
-            "c1": list(F.c1.coeffs),
-            "c2": F.c2,
-        },
-    )
-    return EXIT_OK
+    return _chern_report(S, F), EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     S = _load_surface(args)
-    _emit(args, {"surface": S.name, **classify(S).to_dict()})
-    return EXIT_OK
+    return {"surface": S.name, **classify(S).to_dict()}, EXIT_OK
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[dict, int]:
     if args.action == "list":
-        _emit(
-            args,
-            {
-                "builtins": [
-                    {"pattern": pattern, "description": description}
-                    for pattern, description in catalog.builtin_names()
-                ]
-            },
-        )
-        return EXIT_OK
+        data = {
+            "builtins": [
+                {"pattern": pattern, "description": description}
+                for pattern, description in catalog.builtin_names()
+            ]
+        }
+        return data, EXIT_OK
     report = catalog.verify_table1()
-    _emit(args, report.to_dict())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report.to_dict(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_clifford(args) -> int:
-    _emit(args, catalog.clifford_report(args.a, args.m).to_dict())
-    return EXIT_OK
+def cmd_clifford(args) -> tuple[dict, int]:
+    return catalog.clifford_report(args.a, args.m).to_dict(), EXIT_OK
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> tuple[str, int]:
     S = _load_surface(args)
-    sys.stdout.write(catalog.serialize_surface(S))
-    return EXIT_OK
+    return catalog.serialize_surface(S), EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,65 +238,44 @@ def build_parser() -> argparse.ArgumentParser:
     format_parent.add_argument(
         "--format", choices=("table", "json"), default="table"
     )
+    surface_parents = [surface_parent, format_parent]
+    coeffs = "comma-separated coefficients"
+    # (name, parents, help, handler, options); built per call, so that the
+    # parser binds whatever cmd_* functions the module holds at that moment
+    commands = (
+        ("info", surface_parents,
+         "derived invariants and embedding sanity checks", cmd_info, ()),
+        ("check-line", surface_parents,
+         "numerical Ulrich conditions for a line bundle", cmd_check_line,
+         (("--divisor", {"required": True, "help": coeffs}),)),
+        ("check-rank", surface_parents,
+         "numerical Ulrich conditions for arbitrary Chern data", cmd_check_rank,
+         (("--rank", {"type": int, "required": True}),
+          ("--c1", {"required": True, "help": coeffs}),
+          ("--c2", {"type": int, "required": True}))),
+        ("enumerate", surface_parents,
+         "enumerate line-bundle candidates", cmd_enumerate,
+         (("--bound", {"type": int, "help": "use the bounded search in [-B, B]"}),)),
+        ("special-chern", surface_parents,
+         "Chern data of the special rank-2 bundle", cmd_special_chern, ()),
+        ("classify", surface_parents,
+         "existence / stability / wildness / moduli verdicts", cmd_classify, ()),
+        ("catalog", [format_parent],
+         "list builtins or verify the P4 table", cmd_catalog,
+         (("action", {"choices": ("list", "verify")}),)),
+        ("clifford", [format_parent],
+         "Clifford-index report for the cubic-points family", cmd_clifford,
+         (("--a", {"type": int, "required": True}),
+          ("--m", {"type": int, "required": True}))),
+        ("convert", surface_parents,
+         "canonicalize a surface document", cmd_convert, ()),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "info", parents=[surface_parent, format_parent],
-        help="derived invariants and embedding sanity checks",
-    ).set_defaults(func=cmd_info)
-
-    p = sub.add_parser(
-        "check-line", parents=[surface_parent, format_parent],
-        help="numerical Ulrich conditions for a line bundle",
-    )
-    p.add_argument("--divisor", required=True, help="comma-separated coefficients")
-    p.set_defaults(func=cmd_check_line)
-
-    p = sub.add_parser(
-        "check-rank", parents=[surface_parent, format_parent],
-        help="numerical Ulrich conditions for arbitrary Chern data",
-    )
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--c1", required=True, help="comma-separated coefficients")
-    p.add_argument("--c2", type=int, required=True)
-    p.set_defaults(func=cmd_check_rank)
-
-    p = sub.add_parser(
-        "enumerate", parents=[surface_parent, format_parent],
-        help="enumerate line-bundle candidates",
-    )
-    p.add_argument("--bound", type=int, help="use the bounded search in [-B, B]")
-    p.set_defaults(func=cmd_enumerate)
-
-    sub.add_parser(
-        "special-chern", parents=[surface_parent, format_parent],
-        help="Chern data of the special rank-2 bundle",
-    ).set_defaults(func=cmd_special_chern)
-
-    sub.add_parser(
-        "classify", parents=[surface_parent, format_parent],
-        help="existence / stability / wildness / moduli verdicts",
-    ).set_defaults(func=cmd_classify)
-
-    p = sub.add_parser(
-        "catalog", parents=[format_parent], help="list builtins or verify the P4 table"
-    )
-    p.add_argument("action", choices=("list", "verify"))
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser(
-        "clifford", parents=[format_parent],
-        help="Clifford-index report for the cubic-points family",
-    )
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_clifford)
-
-    sub.add_parser(
-        "convert", parents=[surface_parent, format_parent],
-        help="canonicalize a surface document",
-    ).set_defaults(func=cmd_convert)
-
+    for name, parents, help_text, handler, options in commands:
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -360,9 +311,20 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  The one place that
+    writes a command's output: a str as it is, a report dict as JSON under
+    --format json and as a table otherwise."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        output, code = args.func(args)
+        if not isinstance(output, str):
+            text = _json(output) if args.format == "json" else _render_table(output)
+            output = text + "\n"
+        try:
+            print(output, end="", flush=True)
+        except BrokenPipeError:
+            pass  # the reader is gone: nothing to report, and the verdict stands
+        return code
     except UlrichSurfError as exc:
         _report_error(args, exc, "validation")
         return EXIT_USAGE
@@ -387,7 +349,12 @@ def _report_error(args, exc: Exception, category: str) -> None:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if sys.stdout is not None:  # None when the process started without one
+        # after a closed pipe, stdout's buffer still holds the output, and
+        # the interpreter's last flush would report the pipe again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
+import ast
+import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -430,6 +434,79 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch, fmt
         }}
     else:
         assert err == "error (RuntimeError): something broke\n"
+
+
+# ---------------------------------------------------------------------------
+# One output path: run alone prints, and a closed stdout is no error
+
+
+def _writers(tree) -> set[str]:
+    """Names of the functions that call print or a method of sys.stdout or
+    sys.stderr."""
+    def writes(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id == "print"
+        target = func.value if isinstance(func, ast.Attribute) else None
+        return (
+            isinstance(target, ast.Attribute) and target.attr in ("stdout", "stderr")
+            and isinstance(target.value, ast.Name) and target.value.id == "sys"
+        )
+
+    return {
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function) if isinstance(call, ast.Call) and writes(call)
+    }
+
+
+def test_only_run_and_the_error_reporter_write_output():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = _writers(tree)
+    assert "run" in writers
+    assert writers <= {"run", "_report_error", "main"}
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, expected", [
+    (["catalog", "list"], 0),
+    (["classify", "--builtin", "bordiga"], 0),
+    (["convert", "--builtin", "kim-4-9"], 0),
+    (["check-line", "--builtin", "p1xp1-2-3", "--divisor", "1,5"], 0),
+    (["check-line", "--builtin", "p1xp1-2-3", "--divisor", "1,4"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_closed_stdout_keeps_the_command_exit_code(capsys, monkeypatch, argv, expected, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run([*argv, "--format", fmt]) == expected
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_main_with_the_reader_gone_exits_0_and_says_nothing(unbuffered):
+    # buffered, the pipe breaks at the flush, and again at the interpreter's
+    # flush on exit; unbuffered, it breaks at the write
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    program = (
+        "import sys; from ulrichsurf.cli import main; "
+        "sys.argv = ['ulrichsurf', 'catalog', 'list']; main()"
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", program], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 # ---------------------------------------------------------------------------
