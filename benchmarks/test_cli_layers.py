@@ -5,8 +5,10 @@ with stdout sent to a ``StringIO``; its argument dispatch on the same lines,
 against the top-level parser's own ``parse_args``; and the indent-2 JSON
 writer on what ``classify`` and ``enumerate`` print, against
 ``json.dumps(indent=2)``.  ``convert --surface mine.json`` reads a
-temporary document written by ``convert --builtin kim-4-9``.  Outside the
-test suite; run from the repository root with
+temporary document written by ``convert --builtin kim-4-9``.  Builtin
+names resolve once per process (``catalog.builtin_surface``), so every
+round but the first times a request on a surface already built.  Outside
+the test suite; run from the repository root with
 
     python -m pytest benchmarks/test_cli_layers.py --benchmark-json BENCH_cli.json
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -235,10 +236,14 @@ _TABLE1_EXPECTED = {
 
 def verify_table1() -> Table1Report:
     """Recompute h^2, h.K, K^2 and N for each row and compare with the
-    recorded values (degrees 3..9, N = 4 throughout)."""
+    recorded values (degrees 3..9, N = 4 throughout).
+
+    The rows are read through builtin_surface, so a process builds each
+    row and computes its invariants once, however often it verifies.
+    """
     checks = []
     for n in range(1, 8):
-        S = table1_row(n)
+        S = builtin_surface(f"table1-row-{n}")
         inv = derived_invariants(S)
         got = (inv.h2, inv.hK, inv.K2, inv.N)
         expected = _TABLE1_EXPECTED[n]
@@ -595,10 +600,32 @@ def builtin_names() -> list[tuple[str, str]]:
     return [(pattern, description) for pattern, description, _, _ in _BUILTINS]
 
 
+# Every integer a request reads from its command line, builtin-name
+# parameters included, has at most this many decimal digits.  Every value
+# a command prints is a product of at most four of them, so it stays under
+# the interpreter's 4300-digit limit on int <-> str conversion.
+MAX_DIGITS = 1000
+
+
+@lru_cache(maxsize=128)
 def builtin_surface(name: str) -> PolarizedSurface:
-    """Resolve a builtin surface name like del-pezzo-3 or p1xp1-2-3."""
-    for _, _, regex, build in _BUILTINS:
+    """Resolve a builtin surface name like del-pezzo-3 or p1xp1-2-3.
+
+    Each name resolves once per process, to one surface that every later
+    call returns: a surface is immutable, and its cached invariants are
+    computed once.  The cache keeps the 128 names used last; the family
+    constructors (del_pezzo, table1_row, ...) still build a fresh surface
+    on every call.  An unknown name, or one whose parameters fall outside
+    their family or have more than MAX_DIGITS digits, raises on every
+    call and is never stored.
+    """
+    for pattern, _, regex, build in _BUILTINS:
         match = regex.fullmatch(name)
         if match:
-            return build(*map(int, match.groups()))
+            params = match.groups()
+            if any(len(param) > MAX_DIGITS for param in params):
+                raise OutOfRange(
+                    f"{pattern}: a parameter has more than {MAX_DIGITS} digits"
+                )
+            return build(*map(int, params))
     raise UnknownBuiltin(f"no builtin surface named {name!r}")

@@ -7,13 +7,15 @@ as JSON (the table is a rendering of the JSON dictionary, never a
 recomputation) and a str as it is.  Exit codes: 0 success, 1 usage or
 validation error, 2 a verification command found a failing check, 3
 internal error: an unexpected exception, which means a bug, not bad input.
-A reader that closes stdout early changes no exit code.
+Every integer read from the command line has at most catalog.MAX_DIGITS
+digits.  A reader that closes stdout early changes no exit code, and
+prints nothing on stderr, even for --help.
 
 Most requests need only a few exact integer products, so the fixed cost
 of a request matters: the parser is built once per process, a command
-line is parsed once by its command's subparser, and JSON is written
-directly rather than by the pure-Python encoder json.dumps uses with an
-indent.
+line is parsed once by its command's subparser, a builtin name resolves
+once per process (catalog.builtin_surface), and JSON is written directly
+rather than by the pure-Python encoder json.dumps uses with an indent.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import catalog
 from .catalog import _array, _quote
 from .classify import classify
 from .enumeration import enumerate_bounded, enumerate_rank2_exact
-from .errors import RankTooHigh, UlrichSurfError, UnreadableFile
+from .errors import RankTooHigh, UlrichSurfError, UnreadableFile, ValidationError
 from .invariants import ChernData, derived_invariants, embedding_sanity
 from .lattice import DivisorClass
 from .ulrich import (
@@ -43,9 +45,27 @@ EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_coeffs(text: str) -> DivisorClass:
+_INT_CAP = 10 ** catalog.MAX_DIGITS
+
+
+def _too_many_digits(option: str) -> ValidationError:
+    return ValidationError(option, f"more than {catalog.MAX_DIGITS} digits")
+
+
+def _capped(value: int, option: str) -> int:
+    """An integer option's value, refused when it has more than
+    catalog.MAX_DIGITS digits."""
+    if not -_INT_CAP < value < _INT_CAP:
+        raise _too_many_digits(option)
+    return value
+
+
+def _parse_coeffs(text: str, option: str) -> DivisorClass:
+    parts = text.split(",")
+    if any(sum(map(str.isdigit, part)) > catalog.MAX_DIGITS for part in parts):
+        raise _too_many_digits(option)
     try:
-        return DivisorClass(tuple(int(part) for part in text.split(",")))
+        return DivisorClass(tuple(int(part) for part in parts))
     except ValueError:
         raise UlrichSurfError(f"bad coefficient list {text!r}; expected e.g. 1,5")
 
@@ -143,7 +163,7 @@ def cmd_info(args) -> tuple[dict, int]:
 
 def cmd_check_line(args) -> tuple[dict, int]:
     S = _load_surface(args)
-    D = _parse_coeffs(args.divisor)
+    D = _parse_coeffs(args.divisor, "--divisor")
     report = line_numeric_check(S, D)
     data = {"surface": S.name, "divisor": list(D.coeffs), **report.to_dict()}
     return data, EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -155,7 +175,11 @@ def _chern_report(S, F: ChernData) -> dict:
 
 def cmd_check_rank(args) -> tuple[dict, int]:
     S = _load_surface(args)
-    F = ChernData(args.rank, _parse_coeffs(args.c1), args.c2)
+    F = ChernData(
+        _capped(args.rank, "--rank"),
+        _parse_coeffs(args.c1, "--c1"),
+        _capped(args.c2, "--c2"),
+    )
     report = rank_numeric_check(S, F)
     data = {**_chern_report(S, F), **report.to_dict()}
     return data, EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -164,7 +188,7 @@ def cmd_check_rank(args) -> tuple[dict, int]:
 def cmd_enumerate(args) -> tuple[dict, int]:
     S = _load_surface(args)
     if args.bound is not None:
-        solutions = enumerate_bounded(S, args.bound)
+        solutions = enumerate_bounded(S, _capped(args.bound, "--bound"))
         method = f"bounded search, box [-{args.bound}, {args.bound}]"
     else:
         try:
@@ -209,7 +233,8 @@ def cmd_catalog(args) -> tuple[dict, int]:
 
 
 def cmd_clifford(args) -> tuple[dict, int]:
-    return catalog.clifford_report(args.a, args.m).to_dict(), EXIT_OK
+    a, m = _capped(args.a, "--a"), _capped(args.m, "--m")
+    return catalog.clifford_report(a, m).to_dict(), EXIT_OK
 
 
 def cmd_convert(args) -> tuple[str, int]:
@@ -349,10 +374,19 @@ def _report_error(args, exc: Exception, category: str) -> None:
 
 
 def main() -> None:
-    code = run()
+    try:
+        code = run()
+    except SystemExit as exc:  # argparse's help, or a usage error
+        code = exc.code
     if sys.stdout is not None:  # None when the process started without one
-        # after a closed pipe, stdout's buffer still holds the output, and
-        # the interpreter's last flush would report the pipe again at exit
+        # argparse leaves its help in stdout's buffer: deliver it, unless
+        # the reader is gone.  After a closed pipe the buffer still holds
+        # the output, and the interpreter's last flush would report the
+        # pipe again at exit, so stdout then points at the null device.
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            pass
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -155,9 +155,9 @@ def enumerate_bounded(
     The linear equation is used to solve one coordinate (the pivot, where
     |D.h| has its largest coefficient) exactly, so the search visits every
     point y of the box [-bound, bound]^(rank - 1) of the other coordinates.
-    Raises BoxTooLarge, before any search work, when that count exceeds the
-    ceiling, or when the tables built for the scan, rank * (2 bound + 1)
-    entries, would exceed _TABLE_CAP.
+    Raises BoxTooLarge, before any search work, when the tables built for
+    the scan, rank * (2 bound + 1) entries, would exceed _TABLE_CAP, or when
+    the box's points exceed the ceiling.
 
     Write k = gram . K and q_i(v) = g_ii v^2 - k_i v.  On a diagonal gram
     matrix the quadratic condition D.G.D - D.K = 2(h^2 - chi) is the sum of
@@ -193,13 +193,14 @@ def enumerate_bounded(
     w = S.gram_h
     r = (3 * S.h2 + S.hK) // 2
     width = 2 * bound + 1
-    if width ** (rank - 1) > iteration_ceiling:
-        raise BoxTooLarge(
-            f"{width ** (rank - 1)} iterations exceed ceiling {iteration_ceiling}"
-        )
+    # the table check first: its count stays printable at any bound
     if rank * width > _TABLE_CAP:
         raise BoxTooLarge(
             f"{rank * width} search table entries exceed cap {_TABLE_CAP}"
+        )
+    if width ** (rank - 1) > iteration_ceiling:
+        raise BoxTooLarge(
+            f"{width ** (rank - 1)} iterations exceed ceiling {iteration_ceiling}"
         )
     # Pivot on the largest coefficient of the linear form for best pruning;
     # it is nonzero because h^2 > 0.

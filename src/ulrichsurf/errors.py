@@ -58,9 +58,9 @@ class UnreadableFile(UlrichSurfError):
 
 
 class ValidationError(UlrichSurfError):
-    """A surface document failed validation.
+    """A surface document or a command-line value failed validation.
 
-    Carries the path of the offending field.
+    Carries the path of the offending field, or the option's name.
     """
 
     def __init__(self, path, message):

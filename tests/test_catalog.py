@@ -2,13 +2,17 @@ import json
 
 import pytest
 
+from test_invariants import CACHE_BUILTINS, _assert_caches_match_pairings
 from ulrichsurf.catalog import (
+    MAX_DIGITS,
     builtin_names,
     builtin_surface,
     clifford_report,
     del_pezzo,
     enriques_numeric,
+    hirzebruch_surface,
     kim_cubic,
+    p1xp1_surface,
     p2_surface,
     parse_surface,
     serialize_surface,
@@ -19,12 +23,13 @@ from ulrichsurf.catalog import (
 )
 from ulrichsurf.errors import (
     InvalidDegree,
+    InvalidPolarization,
     OutOfRange,
     ParseError,
     UnknownBuiltin,
     ValidationError,
 )
-from ulrichsurf.invariants import derived_invariants, embedding_sanity
+from ulrichsurf.invariants import PolarizedSurface, derived_invariants, embedding_sanity
 from ulrichsurf.ulrich import special_rank2_chern
 
 
@@ -250,3 +255,100 @@ def test_parse_accepts_kind_in_another_basis(gram, K, h):
     S = parse_surface(json.dumps({"gram": gram, "K": K, "h": h, "kind": "hirzebruch:1,1,2"}))
     assert S.kind.params == (1, 1, 2)
     assert (S.h2, S.hK, S.K2) == (3, -5, 8)
+
+
+# ---------------------------------------------------------------------------
+# The builtin name cache
+
+FAMILIES = {
+    "p2": p2_surface,
+    "p1xp1": p1xp1_surface,
+    "hirzebruch": hirzebruch_surface,
+    "table1-row": table1_row,
+    "del-pezzo": del_pezzo,
+    "enriques": enriques_numeric,
+    "kim": kim_cubic,
+}
+
+
+def _fresh(name):
+    """The builtin called name, built anew by its family constructor."""
+    if name == "bordiga":
+        return table1_row(4)
+    if name == "table1-row-2-printed":
+        return table1_row2_printed()
+    for family, build in FAMILIES.items():
+        if name.startswith(family + "-"):
+            params = name[len(family) + 1:].split("-")
+            return build(*(int(param.lstrip("eab")) for param in params))
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", CACHE_BUILTINS)
+def test_builtin_resolves_once_to_the_surface_its_family_builds(name):
+    builtin_surface.cache_clear()
+    S = builtin_surface(name)
+    assert builtin_surface(name) is S
+    assert S == _fresh(name)
+    _assert_caches_match_pairings(S)
+    assert builtin_surface.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_family_constructors_build_a_new_surface_each_call():
+    assert del_pezzo(3) is not del_pezzo(3)
+    assert table1_row(5) is not table1_row(5)
+    assert table1()[0] is not table1()[0]
+
+
+def test_builtin_cache_keeps_the_128_names_used_last():
+    builtin_surface.cache_clear()
+    for lam in range(1, 201):
+        builtin_surface(f"p2-{lam}")
+    info = builtin_surface.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (128, 128, 200)
+    builtin_surface("p2-200")
+    builtin_surface("p2-1")
+    info = builtin_surface.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 201, 128)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("veronese", UnknownBuiltin),
+    ("p2-x", UnknownBuiltin),
+    ("p2-0", InvalidPolarization),
+    ("hirzebruch-e2-a1-b2", InvalidPolarization),
+    ("del-pezzo-2", InvalidDegree),
+    ("enriques-9", InvalidDegree),
+    ("table1-row-8", OutOfRange),
+    ("kim-3-5", OutOfRange),
+    ("p2-" + "9" * (MAX_DIGITS + 1), OutOfRange),
+], ids=lambda value: value[:20] if isinstance(value, str) else value.__name__)
+def test_bad_builtin_names_raise_on_every_call_and_are_never_stored(name, error):
+    builtin_surface.cache_clear()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            builtin_surface(name)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    info = builtin_surface.cache_info()
+    assert (info.misses, info.currsize) == (3, 0)
+
+
+def test_second_verify_table1_builds_no_surface(monkeypatch):
+    builtin_surface.cache_clear()
+    built = []
+    post_init = PolarizedSurface.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(PolarizedSurface, "__post_init__", counted)
+    first = verify_table1()
+    assert built == [f"table1-row-{n}" for n in range(1, 8)]
+    built.clear()
+    assert verify_table1() == first and first.passed
+    # the rows are the builtins of those names
+    builtin_surface("table1-row-5")
+    assert built == []

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ulrichsurf import cli
+from ulrichsurf import catalog, cli
 from ulrichsurf.catalog import parse_surface, serialize_surface
 from ulrichsurf.cli import run
 
@@ -412,6 +412,76 @@ def test_degenerate_line_locus_exits_1(capsys, tmp_path, fmt):
 
 
 # ---------------------------------------------------------------------------
+# Integers from the command line: at most catalog.MAX_DIGITS digits
+
+NINES = "9" * catalog.MAX_DIGITS  # the largest integer a request may read
+OVER = NINES + "9"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, error_type, message", [
+    (["info", "--builtin", f"p2-{OVER}"], "OutOfRange",
+     "p2-L: a parameter has more than 1000 digits"),
+    (["info", "--builtin", "p2-" + "9" * 5000], "OutOfRange",
+     "p2-L: a parameter has more than 1000 digits"),
+    (["classify", "--builtin", f"hirzebruch-e1-a1-b{OVER}"], "OutOfRange",
+     "hirzebruch-eE-aA-bB: a parameter has more than 1000 digits"),
+    (["check-line", "--builtin", "p2-3", "--divisor=" + "9" * 4000], "ValidationError",
+     "--divisor: more than 1000 digits"),
+    (["check-line", "--builtin", "p1xp1-2-3", "--divisor", f"1,-{OVER}"], "ValidationError",
+     "--divisor: more than 1000 digits"),
+    (["check-rank", "--builtin", "p2-3", "--rank", "2", "--c1=" + "9" * 4000, "--c2", "1"],
+     "ValidationError", "--c1: more than 1000 digits"),
+    (["check-rank", "--builtin", "p2-3", "--rank", OVER, "--c1", "3", "--c2", "1"],
+     "ValidationError", "--rank: more than 1000 digits"),
+    (["check-rank", "--builtin", "p2-3", "--rank", "2", "--c1", "3", "--c2", f"-{OVER}"],
+     "ValidationError", "--c2: more than 1000 digits"),
+    (["enumerate", "--builtin", "p2-3", "--bound", OVER], "ValidationError",
+     "--bound: more than 1000 digits"),
+    (["clifford", "--a", "9" * 2200, "--m", "3"], "ValidationError",
+     "--a: more than 1000 digits"),
+    (["clifford", "--a", "4", "--m", OVER], "ValidationError",
+     "--m: more than 1000 digits"),
+], ids=["p2-L", "p2-L-5000", "hirzebruch-b", "divisor-4000", "divisor", "c1-4000",
+        "rank", "c2", "bound", "a-2200", "m"])
+def test_integer_over_the_digit_cap_exits_1(capsys, argv, error_type, message, fmt):
+    code, out, err = invoke(capsys, *argv, "--format", fmt)
+    assert code == 1 and out == ""
+    assert _validation_error(err, fmt, error_type) == message
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_largest_allowed_integers_are_answered(capsys, fmt):
+    big = int(NINES)
+    c1 = ",".join([NINES, f"-{NINES}"] * 5)
+    requests = [
+        (["info", "--builtin", f"p2-{NINES}"], 0),
+        (["info", "--builtin", f"kim-{NINES}-9"], 0),
+        (["check-rank", "--builtin", f"kim-{NINES}-9", "--rank", NINES,
+          "--c1", c1, "--c2", f"-{NINES}"], 2),
+        (["check-line", "--builtin", f"p1xp1-{NINES}-{NINES}",
+          "--divisor", f"{NINES},-{NINES}"], 2),
+        (["clifford", "--a", NINES, "--m", "9"], 0),
+    ]
+    outputs = []
+    for argv, expected in requests:
+        code, out, err = invoke(capsys, *argv, "--format", fmt)
+        assert (code, err) == (expected, ""), argv
+        outputs.append(out)
+    if fmt == "json":
+        info, *_, clifford = map(json.loads, outputs)
+        assert (info["h2"], info["hK"]) == (big * big, -3 * big)
+        assert clifford["g"] == (3 * big - 4) * (3 * big - 5) // 2 - 9
+    # the box of del-pezzo-3 is refused by its tables, a printable count
+    code, out, err = invoke(
+        capsys, "enumerate", "--builtin", "del-pezzo-3", "--bound", NINES, "--format", fmt
+    )
+    assert code == 1 and out == ""
+    message = _validation_error(err, fmt, "BoxTooLarge")
+    assert message == f"{7 * (2 * big + 1)} search table entries exceed cap 1000000"
+
+
+# ---------------------------------------------------------------------------
 # Unexpected exceptions
 
 
@@ -486,17 +556,22 @@ def test_closed_stdout_keeps_the_command_exit_code(capsys, monkeypatch, argv, ex
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_main_with_the_reader_gone_exits_0_and_says_nothing(unbuffered):
-    # buffered, the pipe breaks at the flush, and again at the interpreter's
-    # flush on exit; unbuffered, it breaks at the write
+def _main(argv, unbuffered="", reader_gone=True):
+    """Run cli.main in a fresh interpreter, stdout into a pipe whose read
+    end is closed (reader_gone) or read to its end; returns the exit code,
+    stdout and stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     program = (
         "import sys; from ulrichsurf.cli import main; "
-        "sys.argv = ['ulrichsurf', 'catalog', 'list']; main()"
+        f"sys.argv = ['ulrichsurf', *{argv!r}]; main()"
     )
+    if not reader_gone:
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -506,7 +581,30 @@ def test_main_with_the_reader_gone_exits_0_and_says_nothing(unbuffered):
         )
     finally:
         os.close(write_end)
-    assert (done.returncode, done.stderr) == (0, b"")
+    return done.returncode, b"", done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_main_with_the_reader_gone_exits_0_and_says_nothing(unbuffered):
+    # buffered, the pipe breaks at the flush, and again at the interpreter's
+    # flush on exit; unbuffered, it breaks at the write.  argparse's help
+    # leaves run by SystemExit, with the text still in stdout's buffer.
+    for argv in (["catalog", "list"], ["--help"], ["classify", "--help"]):
+        code, _, err = _main(argv, unbuffered)
+        assert (code, err) == (0, b""), argv
+    # a usage error keeps its exit code and its usage line on stderr
+    code, _, err = _main(["check-line", "--builtin", "p2-1"], unbuffered)
+    assert code == 1
+    assert err.startswith(b"usage: ulrichsurf check-line")
+    assert b"the following arguments are required: --divisor" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_main_delivers_the_whole_help_to_a_reader(capsys, argv):
+    with pytest.raises(SystemExit):
+        run(argv)
+    expected = capsys.readouterr().out
+    assert _main(argv, reader_gone=False) == (0, expected.encode(), b"")
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +680,24 @@ def test_build_parser_runs_once_per_process(capsys, monkeypatch):
         _outcome(capsys, argv)
     assert len(calls) == 1
     cli._shared_parser.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_repeated_requests_on_one_builtin_answer_as_the_first(capsys, fmt):
+    # the first request resolves table1-row-5, the later ones reuse it
+    requests = [
+        [command, "--builtin", "table1-row-5", "--format", fmt]
+        for command in ("info", "classify", "special-chern", "convert")
+    ] + [
+        ["check-rank", "--builtin", "table1-row-5", "--rank", "2", "--c1",
+         "18,-5,-5,-5,-5,-5,-5,-2,-2,-2,-2,-2", "--c2", "1", "--format", fmt],
+        ["enumerate", "--builtin", "table1-row-5", "--bound", "1", "--format", fmt],
+        ["catalog", "verify", "--format", fmt],
+    ]
+    catalog.builtin_surface.cache_clear()
+    first = [_outcome(capsys, argv) for argv in requests]
+    assert [_outcome(capsys, argv) for argv in requests * 3] == first * 3
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0, 0]
 
 
 # ---------------------------------------------------------------------------
