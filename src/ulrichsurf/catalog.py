@@ -17,6 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
+    DimensionMismatch,
     InvalidDegree,
     InvalidPolarization,
     OutOfRange,
@@ -62,7 +63,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Plane and Hirzebruch surfaces
+# Plane models and Hirzebruch surfaces
 
 # What the paper-backed families (plane, Hirzebruch, del Pezzo, Enriques,
 # points on a cubic) assert: h very ample and non-special, h^0(2K - h) = 0
@@ -73,21 +74,37 @@ _FAMILY_FLAGS = HypothesisFlags(
     h0_2K_minus_h_zero=True,
     h0_h_minus_K_zero=False,
 )
+# What the list of surfaces in P^4 asserts: h very ample and non-special.
+_P4_FLAGS = HypothesisFlags(very_ample=True, non_special=True)
+
+
+def _plane_model(deg: int, groups, kind: SurfaceKind, flags: HypothesisFlags,
+                 name: str, provenance: str) -> PolarizedSurface:
+    """The plane blown up at points given as (multiplicity, count) groups,
+    with h = deg l - sum mult p.  Points of multiplicity >= 2 get f labels,
+    simple points get e labels."""
+    labels = ["l"]
+    coeffs = [deg]
+    for mult, count in groups:
+        prefix = "e" if mult == 1 else "f"
+        labels.extend(f"{prefix}{i}" for i in range(1, count + 1))
+        coeffs.extend([-mult] * count)
+    return PolarizedSurface(
+        lattice=blowup_p2_lattice(len(coeffs) - 1, labels=labels),
+        h=DivisorClass(tuple(coeffs)),
+        kind=kind,
+        flags=flags,
+        name=name,
+        provenance=provenance,
+    )
 
 
 def p2_surface(lam: int) -> PolarizedSurface:
     """The plane polarized by O(lambda)."""
     if lam < 1:
         raise InvalidPolarization(f"lambda must be >= 1, got {lam}")
-    lattice = make_lattice([[1]], [-3], ["l"])
-    return PolarizedSurface(
-        lattice=lattice,
-        h=DivisorClass((lam,)),
-        kind=SurfaceKind.p2(lam),
-        flags=_FAMILY_FLAGS,
-        name=f"p2-{lam}",
-        provenance=f"plane with h = {lam}l",
-    )
+    return _plane_model(lam, (), SurfaceKind.p2(lam), _FAMILY_FLAGS,
+                        f"p2-{lam}", f"plane with h = {lam}l")
 
 
 def hirzebruch_surface(e: int, a: int, b: int) -> PolarizedSurface:
@@ -120,59 +137,37 @@ def p1xp1_surface(a: int, b: int) -> PolarizedSurface:
 # ---------------------------------------------------------------------------
 # The seven linearly normal non-special rational surfaces in P^4
 #
-# Each row: degree of the plane model and (multiplicity, point count)
-# groups; points of multiplicity >= 2 get f labels, simple points get e
-# labels.  Row 2 is shipped with five simple points: linear normality in
-# P^4 (N = 4) and the recorded K^2 = 4 both force the fifth point.
+# Each row: degree of the plane model, its (multiplicity, point count)
+# groups, and the recorded (h^2, h.K, K^2, N).  Row 2 is shipped with five
+# simple points: linear normality in P^4 (N = 4) and the recorded K^2 = 4
+# both force the fifth point.
 
-_TABLE1_ROWS = {
-    1: (2, ((1, 1),)),
-    2: (3, ((1, 5),)),
-    3: (4, ((2, 1), (1, 7))),
-    4: (4, ((1, 10),)),
-    5: (6, ((2, 6), (1, 5))),
-    6: (7, ((2, 10), (1, 1))),
-    7: (13, ((4, 10),)),
+_TABLE1 = {
+    1: (2, ((1, 1),), (3, -5, 8, 4)),
+    2: (3, ((1, 5),), (4, -4, 4, 4)),
+    3: (4, ((2, 1), (1, 7)), (5, -3, 1, 4)),
+    4: (4, ((1, 10),), (6, -2, -1, 4)),
+    5: (6, ((2, 6), (1, 5)), (7, -1, -2, 4)),
+    6: (7, ((2, 10), (1, 1)), (8, 0, -2, 4)),
+    7: (13, ((4, 10),), (9, 1, -1, 4)),
 }
-
-
-def _blowup_mixed(deg: int, groups, name: str, provenance: str,
-                  anticanonical: bool) -> PolarizedSurface:
-    labels = ["l"]
-    coeffs = [deg]
-    for mult, count in groups:
-        prefix = "e" if mult == 1 else "f"
-        labels.extend(f"{prefix}{i}" for i in range(1, count + 1))
-        coeffs.extend([-mult] * count)
-    lattice = blowup_p2_lattice(len(coeffs) - 1, labels=labels)
-    return PolarizedSurface(
-        lattice=lattice,
-        h=DivisorClass(tuple(coeffs)),
-        kind=SurfaceKind.blowup_p2(anticanonical=anticanonical),
-        flags=HypothesisFlags(very_ample=True, non_special=True),
-        name=name,
-        provenance=provenance,
-    )
 
 
 def table1_row(n: int) -> PolarizedSurface:
     """Row n of the list of linearly normal non-special rational surfaces
     in P^4 (degrees 3 through 9)."""
-    if n not in _TABLE1_ROWS:
+    if n not in _TABLE1:
         raise OutOfRange(f"row must be 1..7, got {n}")
-    deg, groups = _TABLE1_ROWS[n]
+    deg, groups, _ = _TABLE1[n]
     # Degree up to 5 in P^4 makes the surface anticanonical.
-    return _blowup_mixed(
-        deg,
-        groups,
-        name=f"table1-row-{n}",
-        provenance=f"linearly normal rational surface in P4, degree {n + 2}",
-        anticanonical=n <= 3,
+    return _plane_model(
+        deg, groups, SurfaceKind.blowup_p2(anticanonical=n <= 3), _P4_FLAGS,
+        f"table1-row-{n}", f"linearly normal rational surface in P4, degree {n + 2}",
     )
 
 
 def table1() -> list[PolarizedSurface]:
-    return [table1_row(n) for n in range(1, 8)]
+    return [table1_row(n) for n in _TABLE1]
 
 
 def table1_row2_printed() -> PolarizedSurface:
@@ -183,7 +178,7 @@ def table1_row2_printed() -> PolarizedSurface:
         lattice=lattice,
         h=DivisorClass((3, -1, -1, -1, -1, 0)),
         kind=SurfaceKind.blowup_p2(anticanonical=True),
-        flags=HypothesisFlags(very_ample=True, non_special=True),
+        flags=_P4_FLAGS,
         name="table1-row-2-printed",
         provenance="row 2 variant with four subtracted points; inconsistent",
     )
@@ -223,17 +218,6 @@ class Table1Report:
         return {"passed": self.passed, "rows": [r.to_dict() for r in self.rows]}
 
 
-_TABLE1_EXPECTED = {
-    1: (3, -5, 8, 4),
-    2: (4, -4, 4, 4),
-    3: (5, -3, 1, 4),
-    4: (6, -2, -1, 4),
-    5: (7, -1, -2, 4),
-    6: (8, 0, -2, 4),
-    7: (9, 1, -1, 4),
-}
-
-
 def verify_table1() -> Table1Report:
     """Recompute h^2, h.K, K^2 and N for each row and compare with the
     recorded values (degrees 3..9, N = 4 throughout).
@@ -242,22 +226,10 @@ def verify_table1() -> Table1Report:
     row and computes its invariants once, however often it verifies.
     """
     checks = []
-    for n in range(1, 8):
-        S = builtin_surface(f"table1-row-{n}")
-        inv = derived_invariants(S)
+    for n, (_, _, expected) in _TABLE1.items():
+        inv = derived_invariants(builtin_surface(f"table1-row-{n}"))
         got = (inv.h2, inv.hK, inv.K2, inv.N)
-        expected = _TABLE1_EXPECTED[n]
-        checks.append(
-            Table1RowCheck(
-                row=n,
-                h2=inv.h2,
-                hK=inv.hK,
-                K2=inv.K2,
-                N=inv.N,
-                expected=expected,
-                ok=got == expected,
-            )
-        )
+        checks.append(Table1RowCheck(n, *got, expected=expected, ok=got == expected))
     return Table1Report(tuple(checks))
 
 
@@ -270,15 +242,9 @@ def del_pezzo(d: int) -> PolarizedSurface:
     the plane blown up at 9 - d points with h = -K."""
     if not 3 <= d <= 9:
         raise InvalidDegree(f"degree must be 3..9, got {d}")
-    m = 9 - d
-    lattice = blowup_p2_lattice(m)
-    return PolarizedSurface(
-        lattice=lattice,
-        h=-lattice.canonical,
-        kind=SurfaceKind.blowup_p2(anticanonical=True),
-        flags=_FAMILY_FLAGS,
-        name=f"del-pezzo-{d}",
-        provenance=f"del Pezzo surface of degree {d}, anticanonical embedding",
+    return _plane_model(
+        3, ((1, 9 - d),), SurfaceKind.blowup_p2(anticanonical=True), _FAMILY_FLAGS,
+        f"del-pezzo-{d}", f"del Pezzo surface of degree {d}, anticanonical embedding",
     )
 
 
@@ -308,14 +274,10 @@ def kim_cubic(a: int, m: int) -> PolarizedSurface:
     """Blow-up of the plane at m general points on a cubic curve, with
     h = a l - sum e_i.  Very ample for a >= 4 and 2 <= m <= 9."""
     _check_kim_window(a, m)
-    lattice = blowup_p2_lattice(m)
-    return PolarizedSurface(
-        lattice=lattice,
-        h=DivisorClass((a,) + (-1,) * m),
-        kind=SurfaceKind.blowup_p2(anticanonical=True),
-        flags=_FAMILY_FLAGS,
-        name=f"kim-{a}-{m}",
-        provenance=f"blow-up of the plane at {m} points on a cubic, h = {a}l - sum e_i",
+    return _plane_model(
+        a, ((1, m),), SurfaceKind.blowup_p2(anticanonical=True), _FAMILY_FLAGS,
+        f"kim-{a}-{m}",
+        f"blow-up of the plane at {m} points on a cubic, h = {a}l - sum e_i",
     )
 
 
@@ -538,7 +500,13 @@ def parse_surface(text: str) -> PolarizedSurface:
     try:
         lattice = make_lattice(gram_raw, K, basis)
     except UlrichSurfError as exc:
-        raise ValidationError("gram", str(exc)) from exc
+        # make_lattice checks that the gram is square before it checks the
+        # lengths of K and of the labels: name the field that is wrong
+        rank = len(gram_raw)
+        field = "gram"
+        if isinstance(exc, DimensionMismatch) and all(len(r) == rank for r in gram_raw):
+            field = "K" if len(K) != rank else "basis"
+        raise ValidationError(field, str(exc)) from exc
     try:
         surface = PolarizedSurface(
             lattice=lattice,
@@ -571,33 +539,32 @@ def parse_surface(text: str) -> PolarizedSurface:
 # Builtin registry
 
 # One row per family: the pattern and description that `catalog list`
-# prints, the compiled regex a name must match in full, and the builder it
-# calls with the regex's groups as ints.
+# prints, and the builder a name calls.  Each capital letter of a pattern
+# is one integer parameter, a run of digits; a name must match the whole
+# pattern, and the builder gets its parameters as ints.
 _BUILTINS = (
-    ("p2-L", "plane with h = L * line, L >= 1",
-     re.compile(r"p2-(\d+)"), p2_surface),
-    ("p1xp1-A-B", "quadric surface with h = A xi + B f, A, B >= 1",
-     re.compile(r"p1xp1-(\d+)-(\d+)"), p1xp1_surface),
+    ("p2-L", "plane with h = L * line, L >= 1", p2_surface),
+    ("p1xp1-A-B", "quadric surface with h = A xi + B f, A, B >= 1", p1xp1_surface),
     ("hirzebruch-eE-aA-bB", "Hirzebruch surface, A >= 1, B >= A*E + 1",
-     re.compile(r"hirzebruch-e(\d+)-a(\d+)-b(\d+)"), hirzebruch_surface),
-    ("table1-row-N", "rational surface in P4, rows 1..7",
-     re.compile(r"table1-row-(\d+)"), table1_row),
-    ("bordiga", "alias for table1-row-4",
-     re.compile(r"bordiga"), lambda: table1_row(4)),
+     hirzebruch_surface),
+    ("table1-row-N", "rational surface in P4, rows 1..7", table1_row),
+    ("bordiga", "alias for table1-row-4", lambda: table1_row(4)),
     ("table1-row-2-printed", "inconsistent row-2 variant (regression fixture)",
-     re.compile(r"table1-row-2-printed"), table1_row2_printed),
-    ("del-pezzo-D", "del Pezzo surface, 3 <= D <= 9, h = -K",
-     re.compile(r"del-pezzo-(\d+)"), del_pezzo),
-    ("enriques-H", "Enriques numeric carrier, h^2 = H even >= 8",
-     re.compile(r"enriques-(\d+)"), enriques_numeric),
+     table1_row2_printed),
+    ("del-pezzo-D", "del Pezzo surface, 3 <= D <= 9, h = -K", del_pezzo),
+    ("enriques-H", "Enriques numeric carrier, h^2 = H even >= 8", enriques_numeric),
     ("kim-A-M", "plane blown up at M points on a cubic, h = A l - sum e_i",
-     re.compile(r"kim-(\d+)-(\d+)"), kim_cubic),
+     kim_cubic),
+)
+# (the replacement's backslash is doubled: re.sub rejects an unknown escape)
+_NAME_REGEXES = tuple(
+    re.compile(re.sub("[A-Z]", r"(\\d+)", pattern)) for pattern, _, _ in _BUILTINS
 )
 
 
 def builtin_names() -> list[tuple[str, str]]:
     """(pattern, description) pairs for every builtin family."""
-    return [(pattern, description) for pattern, description, _, _ in _BUILTINS]
+    return [(pattern, description) for pattern, description, _ in _BUILTINS]
 
 
 # Every integer a request reads from its command line, builtin-name
@@ -619,7 +586,7 @@ def builtin_surface(name: str) -> PolarizedSurface:
     their family or have more than MAX_DIGITS digits, raises on every
     call and is never stored.
     """
-    for pattern, _, regex, build in _BUILTINS:
+    for (pattern, _, build), regex in zip(_BUILTINS, _NAME_REGEXES):
         match = regex.fullmatch(name)
         if match:
             params = match.groups()

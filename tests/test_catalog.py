@@ -29,7 +29,13 @@ from ulrichsurf.errors import (
     UnknownBuiltin,
     ValidationError,
 )
-from ulrichsurf.invariants import PolarizedSurface, derived_invariants, embedding_sanity
+from ulrichsurf.invariants import (
+    HypothesisFlags,
+    PolarizedSurface,
+    derived_invariants,
+    embedding_sanity,
+)
+from ulrichsurf.lattice import DivisorClass, make_lattice
 from ulrichsurf.ulrich import special_rank2_chern
 
 
@@ -194,6 +200,63 @@ def test_builtin_names_resolve():
         builtin_surface("veronese")
 
 
+# ---------------------------------------------------------------------------
+# The plane-model families against surfaces written out by hand
+
+FAMILY_FLAGS = HypothesisFlags(
+    very_ample=True, non_special=True, h0_2K_minus_h_zero=True, h0_h_minus_K_zero=False
+)
+P4_FLAGS = HypothesisFlags(very_ample=True, non_special=True)
+ANTICANONICAL = "blowup_p2:anticanonical"
+
+
+def _points(prefix, count):
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
+
+
+# name -> (basis labels, h, kind string, flags); the lattice is the plane
+# blown up at one point per label after l
+PLANE_MODELS = {
+    "p2-1": (["l"], [1], "p2:1", FAMILY_FLAGS),
+    "p2-4": (["l"], [4], "p2:4", FAMILY_FLAGS),
+    "del-pezzo-3": (["l"] + _points("e", 6), [3] + [-1] * 6, ANTICANONICAL,
+                    FAMILY_FLAGS),
+    "del-pezzo-9": (["l"], [3], ANTICANONICAL, FAMILY_FLAGS),
+    "kim-4-2": (["l", "e1", "e2"], [4, -1, -1], ANTICANONICAL, FAMILY_FLAGS),
+    "kim-7-9": (["l"] + _points("e", 9), [7] + [-1] * 9, ANTICANONICAL,
+                FAMILY_FLAGS),
+    "table1-row-1": (["l", "e1"], [2, -1], ANTICANONICAL, P4_FLAGS),
+    "table1-row-3": (["l", "f1"] + _points("e", 7), [4, -2] + [-1] * 7,
+                     ANTICANONICAL, P4_FLAGS),
+    "table1-row-5": (["l"] + _points("f", 6) + _points("e", 5),
+                     [6] + [-2] * 6 + [-1] * 5, "blowup_p2", P4_FLAGS),
+    "table1-row-7": (["l"] + _points("f", 10), [13] + [-4] * 10, "blowup_p2",
+                     P4_FLAGS),
+    "bordiga": (["l"] + _points("e", 10), [4] + [-1] * 10, "blowup_p2", P4_FLAGS),
+    "table1-row-2-printed": (["l"] + _points("e", 5), [3, -1, -1, -1, -1, 0],
+                             ANTICANONICAL, P4_FLAGS),
+}
+
+
+@pytest.mark.parametrize("name", PLANE_MODELS)
+def test_plane_models_match_surfaces_written_out_by_hand(name):
+    labels, h, kind, flags = PLANE_MODELS[name]
+    rank = len(labels)
+    # gram diag(1, -1, ..., -1) and K = -3l + sum of the exceptional classes
+    gram = [[0] * rank for _ in range(rank)]
+    gram[0][0] = 1
+    for i in range(1, rank):
+        gram[i][i] = -1
+    lattice = make_lattice(gram, [-3] + [1] * (rank - 1), labels)
+    S = builtin_surface(name)
+    assert S.lattice.gram == lattice.gram
+    assert S.lattice.canonical == lattice.canonical
+    assert S.lattice.basis_labels == tuple(labels)
+    assert S.h == DivisorClass(tuple(h))
+    assert S.kind.to_string() == kind
+    assert S.flags == flags
+
+
 def test_builtin_names_list_every_family_once():
     patterns = [pattern for pattern, _ in builtin_names()]
     assert patterns == [
@@ -322,6 +385,14 @@ def test_builtin_cache_keeps_the_128_names_used_last():
     ("table1-row-8", OutOfRange),
     ("kim-3-5", OutOfRange),
     ("p2-" + "9" * (MAX_DIGITS + 1), OutOfRange),
+    # near-misses of the name grammar
+    ("p2-", UnknownBuiltin),
+    ("p2-1-1", UnknownBuiltin),
+    ("P2-1", UnknownBuiltin),
+    ("del-pezzo-3x", UnknownBuiltin),
+    ("hirzebruch-e1-a1", UnknownBuiltin),
+    ("kim-4", UnknownBuiltin),
+    ("table1-row-2-printedx", UnknownBuiltin),
 ], ids=lambda value: value[:20] if isinstance(value, str) else value.__name__)
 def test_bad_builtin_names_raise_on_every_call_and_are_never_stored(name, error):
     builtin_surface.cache_clear()

@@ -216,6 +216,30 @@ def test_classify_rejects_a_positive_definite_document(capsys, tmp_path, fmt):
         assert err.count("\n") == 1
 
 
+# A length mismatch is reported at the field whose length is wrong; a gram
+# that is not square is the gram's fault whatever else is short.
+PLANE_AT_A_POINT = {"gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [2, -1]}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("change, message", [
+    ({"K": [-3]}, "K: canonical class has 1 coefficients, expected 2"),
+    ({"basis": ["l"]}, "basis: 1 labels for rank 2"),
+    ({"h": [2]}, "h: divisor has 1 coefficients, lattice has rank 2"),
+    ({"gram": [[1, 0], [0]], "K": [-3]}, "gram: gram matrix is not square"),
+], ids=["K", "basis", "h", "gram"])
+def test_length_mismatch_names_its_field(capsys, tmp_path, change, message, fmt):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**PLANE_AT_A_POINT, **change}))
+    code = run(["info", "--surface", str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    if fmt == "json":
+        assert json.loads(err)["error"]["message"] == message
+    else:
+        assert err == f"error (ValidationError): {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # The README example
 
