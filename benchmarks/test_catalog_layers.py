@@ -9,19 +9,13 @@ surface.  Outside the test suite; run from the repository root with
 
     python -m pytest benchmarks/test_catalog_layers.py --benchmark-json BENCH_catalog.json
 
-It imports the package from ``src/`` of this checkout.
+``conftest.py`` imports the package from ``src/`` of this checkout.
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-from ulrichsurf.catalog import builtin_surface, table1_row, verify_table1  # noqa: E402
-from ulrichsurf.invariants import PolarizedSurface  # noqa: E402
+from ulrichsurf.catalog import builtin_surface, table1_row, verify_table1
+from ulrichsurf.invariants import PolarizedSurface
 
 NAMES = ("p2-3", "p1xp1-2-3", "del-pezzo-3", "kim-5-9", "table1-row-7")
 

@@ -9,25 +9,14 @@ Outside the test suite; run from the repository root with
 
     python -m pytest benchmarks/test_check_layers.py --benchmark-json BENCH_checks.json
 
-It imports the package from ``src/`` of this checkout.
+``conftest.py`` imports the package from ``src/`` of this checkout.
 """
-
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from documents import skewed_document  # noqa: E402
-from ulrichsurf.catalog import builtin_surface, parse_surface  # noqa: E402
-from ulrichsurf.enumeration import (  # noqa: E402
-    enumerate_bounded,
-    enumerate_rank2_exact,
-)
-from ulrichsurf.ulrich import (  # noqa: E402
+from ulrichsurf.catalog import builtin_surface
+from ulrichsurf.enumeration import enumerate_bounded, enumerate_rank2_exact
+from ulrichsurf.ulrich import (
     line_numeric_check,
     rank_numeric_check,
     special_rank2_chern,
@@ -36,29 +25,23 @@ from ulrichsurf.ulrich import (  # noqa: E402
 SURFACES = ("del-pezzo-3", "skewed-rank-60")
 
 
-def _surface(name):
-    if name == "skewed-rank-60":
-        return parse_surface(json.dumps(skewed_document(60, 1)))
-    return builtin_surface(name)
-
-
 @pytest.mark.parametrize("name", SURFACES)
-def test_line_numeric_check(benchmark, name):
-    S = _surface(name)
+def test_line_numeric_check(benchmark, surface, name):
+    S = surface(name)
     report = benchmark(line_numeric_check, S, S.h)
     assert report.actual_c2 == S.h2
 
 
 @pytest.mark.parametrize("name", SURFACES)
-def test_rank_numeric_check(benchmark, name):
-    S = _surface(name)
+def test_rank_numeric_check(benchmark, surface, name):
+    S = surface(name)
     report = benchmark(rank_numeric_check, S, special_rank2_chern(S))
     assert report.passed
 
 
 @pytest.mark.parametrize("name", SURFACES)
-def test_pair(benchmark, name):
-    S = _surface(name)
+def test_pair(benchmark, surface, name):
+    S = surface(name)
     assert benchmark(S.lattice.pair, S.h, S.K) == S.hK
 
 

@@ -10,21 +10,12 @@ with
 
     python -m pytest benchmarks/test_classify_layers.py --benchmark-json BENCH_classify.json
 
-It imports the package from ``src/`` of this checkout.
+``conftest.py`` imports the package from ``src/`` of this checkout.
 """
-
-import json
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from documents import skewed_document  # noqa: E402
-from ulrichsurf.catalog import builtin_surface, parse_surface  # noqa: E402
-from ulrichsurf.classify import (  # noqa: E402
+from ulrichsurf.classify import (
     Verdict,
     classify,
     is_ulrich_wild,
@@ -38,19 +29,13 @@ SURFACES = ("del-pezzo-3", "bordiga", "enriques-10", "kim-4-9", "skewed-rank-60"
 READERS = (special_rank2_exists, stable_special_exists, is_ulrich_wild, moduli_dims)
 
 
-def _surface(name):
-    if name == "skewed-rank-60":
-        return parse_surface(json.dumps(skewed_document(60, 1)))
-    return builtin_surface(name)
-
-
 @pytest.mark.parametrize("name", SURFACES)
-def test_classify(benchmark, name):
-    report = benchmark(classify, _surface(name))
+def test_classify(benchmark, surface, name):
+    report = benchmark(classify, surface(name))
     assert report.stable_special_exists is Verdict.TRUE
 
 
 @pytest.mark.parametrize("reader", READERS, ids=lambda reader: reader.__name__)
 @pytest.mark.parametrize("name", SURFACES)
-def test_verdict_reader(benchmark, name, reader):
-    benchmark(reader, _surface(name))
+def test_verdict_reader(benchmark, surface, name, reader):
+    benchmark(reader, surface(name))

@@ -3,30 +3,26 @@
 Times ``cli.run`` end to end on each of the README's example command lines,
 with stdout sent to a ``StringIO``; its argument dispatch on the same lines,
 against the top-level parser's own ``parse_args``; and the indent-2 JSON
-writer on what ``classify`` and ``enumerate`` print, against
-``json.dumps(indent=2)``.  ``convert --surface mine.json`` reads a
-temporary document written by ``convert --builtin kim-4-9``.  Builtin
-names resolve once per process (``catalog.builtin_surface``), so every
-round but the first times a request on a surface already built.  Outside
-the test suite; run from the repository root with
+writer, against ``json.dumps(indent=2)``, and the table renderer on what
+``classify``, ``info`` and ``enumerate`` print.  ``convert --surface
+mine.json`` reads a temporary document written by ``convert --builtin
+kim-4-9``.  Builtin names resolve once per process
+(``catalog.builtin_surface``), so every round but the first times a
+request on a surface already built.  Outside the test suite; run from the
+repository root with
 
     python -m pytest benchmarks/test_cli_layers.py --benchmark-json BENCH_cli.json
 
-It imports the package from ``src/`` of this checkout.
+``conftest.py`` imports the package from ``src/`` of this checkout.
 """
 
 import contextlib
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-from ulrichsurf import cli  # noqa: E402
+from ulrichsurf import cli
 
 # The examples of the README's CLI section.
 README_ARGVS = [
@@ -83,15 +79,17 @@ def test_dispatch(benchmark, parser):
     assert [args.command for args in parsed] == [argv[0] for argv in README_ARGVS]
 
 
-def _printed(*argv) -> dict:
+def _printed(*argv, fmt="json"):
+    """What run prints for argv: a JSON report as a dict, a table as text."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.run([*argv, "--format", "json"]) == 0
-    return json.loads(out.getvalue())
+        assert cli.run([*argv, "--format", fmt]) == 0
+    return json.loads(out.getvalue()) if fmt == "json" else out.getvalue()
 
 
 OUTPUTS = {
     "classify": ("classify", "--builtin", "bordiga"),
+    "info": ("info", "--builtin", "del-pezzo-3"),
     "enumerate": ("enumerate", "--builtin", "del-pezzo-3", "--bound", "3"),
 }
 
@@ -102,3 +100,10 @@ def test_json_writer(benchmark, output, writer):
     data = _printed(*OUTPUTS[output])
     text = benchmark(WRITERS[writer], data)
     assert text == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_table_writer(benchmark, output):
+    data = _printed(*OUTPUTS[output])
+    text = benchmark(cli._render_table, data)
+    assert text + "\n" == _printed(*OUTPUTS[output], fmt="table")

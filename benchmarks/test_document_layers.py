@@ -6,21 +6,16 @@ tests use.  Outside the test suite; run from the repository root with
 
     python -m pytest benchmarks/test_document_layers.py --benchmark-json BENCH_documents.json
 
-It imports the package from ``src/`` of this checkout.
+``conftest.py`` imports the package from ``src/`` of this checkout.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from documents import skewed_document  # noqa: E402
-from ulrichsurf.catalog import parse_surface, serialize_surface  # noqa: E402
-from ulrichsurf.lattice import make_lattice  # noqa: E402
+from documents import skewed_document
+from ulrichsurf.catalog import parse_surface, serialize_surface
+from ulrichsurf.lattice import make_lattice
 
 RANKS = (20, 40, 60)
 

@@ -359,6 +359,32 @@ def _int_array(values, depth: int) -> str:
     return _array(list(map(str, values)), depth)
 
 
+def _json(value, depth: int = 0) -> str:
+    """value as json.dumps(value, indent=2) writes it, nested depth levels
+    deep.  With an indent, json.dumps runs its pure-Python encoder; this
+    writes the same text from the types the reports and documents hold:
+    dicts with str keys, lists, tuples, str, int, bool and None.  Anything
+    else is a TypeError, as it is for json.dumps."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return _array([_json(item, depth + 1) for item in value], depth)
+    if isinstance(value, dict):
+        items = [
+            f"{_quote(key)}: {_json(item, depth + 1)}" for key, item in value.items()
+        ]
+        return _array(items, depth, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def serialize_surface(S: PolarizedSurface) -> str:
     """Canonical JSON document for a surface; fixed key order, flags as
     "true"/"false"/"unknown", trailing newline.
@@ -379,8 +405,8 @@ def serialize_surface(S: PolarizedSurface) -> str:
         ("K", _int_array(lattice.canonical.coeffs, 1)),
         ("h", _int_array(S.h.coeffs, 1)),
         # a surface built in Python may carry a bool pg or q, an int subclass
-        ("pg", json.dumps(S.pg)),
-        ("q", json.dumps(S.q)),
+        ("pg", _json(S.pg)),
+        ("q", _json(S.q)),
         ("kind", _quote(S.kind.to_string())),
         ("flags", _array(flags, 1, "{}")),
         ("provenance", _quote(S.provenance)),

@@ -129,16 +129,11 @@ class ClassificationReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        """The fields in order, each Verdict as its text."""
+        data = dict(vars(self), notes=list(self.notes))
         return {
-            "special_rank2_exists": self.special_rank2_exists.value,
-            "stable_special_exists": self.stable_special_exists.value,
-            "ulrich_wild": self.ulrich_wild.value,
-            "wild_via_lemma": self.wild_via_lemma,
-            "minimal_degree": self.minimal_degree,
-            "moduli_dim_lower_chern": self.moduli_dim_lower_chern,
-            "moduli_dim_lower_injective": self.moduli_dim_lower_injective,
-            "moduli_dim_smooth": self.moduli_dim_smooth,
-            "notes": list(self.notes),
+            key: value.value if isinstance(value, Verdict) else value
+            for key, value in data.items()
         }
 
 

@@ -15,7 +15,8 @@ Most requests need only a few exact integer products, so the fixed cost
 of a request matters: the parser is built once per process, a command
 line is parsed once by its command's subparser, a builtin name resolves
 once per process (catalog.builtin_surface), and JSON is written directly
-rather than by the pure-Python encoder json.dumps uses with an indent.
+(catalog._json, beside the surface-document writer) rather than by the
+pure-Python encoder json.dumps uses with an indent.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .catalog import _array, _quote
+from .catalog import _json
 from .classify import classify
 from .enumeration import enumerate_bounded, enumerate_rank2_exact
 from .errors import RankTooHigh, UlrichSurfError, UnreadableFile, ValidationError
@@ -90,60 +91,23 @@ def _load_surface(args):
     raise UlrichSurfError("a surface is required: use --builtin NAME or --surface FILE")
 
 
-def _is_scalar_list(value) -> bool:
-    return isinstance(value, list) and not any(
-        isinstance(entry, (dict, list)) for entry in value
-    )
-
-
 def _render_table(data, indent: str = "") -> str:
+    """A report dict as a table: one "key: value" line per key and one
+    "- value" line per scalar list item, a list of scalars inline, and
+    any other container two spaces deeper, under its key.  A list item is
+    a pair whose key is None: it has no header line."""
     lines = []
-    if isinstance(data, dict):
-        for key, value in data.items():
-            if _is_scalar_list(value):
-                lines.append(f"{indent}{key}: {value}")
-            elif isinstance(value, (dict, list)):
+    pairs = data.items() if isinstance(data, dict) else ((None, item) for item in data)
+    for key, value in pairs:
+        if isinstance(value, dict) or isinstance(value, list) and any(
+            isinstance(entry, (dict, list)) for entry in value
+        ):
+            if key is not None:
                 lines.append(f"{indent}{key}:")
-                lines.append(_render_table(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {value}")
-    elif isinstance(data, list):
-        for value in data:
-            if _is_scalar_list(value):
-                lines.append(f"{indent}- {value}")
-            elif isinstance(value, (dict, list)):
-                lines.append(_render_table(value, indent + "  "))
-            else:
-                lines.append(f"{indent}- {value}")
-    else:
-        lines.append(f"{indent}{data}")
+            lines.append(_render_table(value, indent + "  "))
+        else:
+            lines.append(f"{indent}- {value}" if key is None else f"{indent}{key}: {value}")
     return "\n".join(line for line in lines if line)
-
-
-def _json(value, depth: int = 0) -> str:
-    """value as json.dumps(value, indent=2) writes it, nested depth levels
-    deep.  With an indent, json.dumps runs its pure-Python encoder; this
-    writes the same text from the types the commands emit: dicts with str
-    keys, lists, tuples, str, int, bool and None.  Anything else is a
-    TypeError, as it is for json.dumps."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        return _array([_json(item, depth + 1) for item in value], depth)
-    if isinstance(value, dict):
-        items = [
-            f"{_quote(key)}: {_json(item, depth + 1)}" for key, item in value.items()
-        ]
-        return _array(items, depth, "{}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _divisor_list(divisors) -> list[list[int]]:

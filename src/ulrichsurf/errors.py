@@ -24,8 +24,9 @@ class MissingHypothesis(UlrichSurfError):
 class DegenerateForm(UlrichSurfError):
     """The rank-2 solver found infinitely many solutions along the linear locus.
 
-    Reachable only on a degenerate pairing; the Hodge-index signature check
-    of make_lattice, once added, makes it unreachable too.
+    Reachable on a degenerate pairing, which a surface document can carry:
+    the Hodge-index check of parse_surface tests only K and the basis
+    vectors.  Only a full signature check would reject such a document.
     """
 
 

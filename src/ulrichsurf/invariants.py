@@ -155,6 +155,13 @@ class HypothesisFlags:
     h0_2K_minus_h_zero: Flag = None
     h0_h_minus_K_zero: Flag = None
 
+    def __post_init__(self):
+        # any other value, 1 or "true" say, would read as asserted: it
+        # would block the auto-derivation, yet decide no verdict
+        for name, value in vars(self).items():
+            if value is not None and type(value) is not bool:
+                raise TypeError(f"flag {name} must be True, False or None, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PolarizedSurface:
@@ -343,13 +350,7 @@ class SanityReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [dict(vars(c)) for c in self.checks]}
 
 
 def embedding_sanity(S: PolarizedSurface) -> SanityReport:

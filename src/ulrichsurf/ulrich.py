@@ -54,16 +54,7 @@ class UlrichCheckReport:
         return self.linear_ok and self.quadratic_ok
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "linear_ok": self.linear_ok,
-            "quadratic_ok": self.quadratic_ok,
-            "required_linear": self.required_linear,
-            "actual_linear": self.actual_linear,
-            "required_c2": self.required_c2,
-            "actual_c2": self.actual_c2,
-            "disclaimer": self.disclaimer,
-        }
+        return {"passed": self.passed, **vars(self)}
 
 
 def line_numeric_check(S: PolarizedSurface, D: DivisorLike) -> UlrichCheckReport:

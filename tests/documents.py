@@ -4,33 +4,57 @@ per-layer benchmarks."""
 import random
 
 
+def unimodular_moves(rng: random.Random, rank: int, count: int) -> list[tuple]:
+    """``count`` seeded moves (i, j, c), each the change of basis
+    b_i <- b_i + c b_j with i != j and c = +-1.  A rank-1 lattice has none."""
+    moves = []
+    for _ in range(count if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        moves.append((i, j, rng.choice((1, -1))))
+    return moves
+
+
+def move_coeffs(coeffs, moves) -> list[int]:
+    """The coordinates x E^-1, in the basis the moves make, of the class
+    with coordinates x."""
+    coeffs = list(coeffs)
+    for i, j, c in moves:
+        coeffs[j] -= c * coeffs[i]
+    return coeffs
+
+
+def moved_document(doc: dict, moves) -> dict:
+    """doc in the basis the moves make: the gram matrix becomes E G E^T
+    and the coordinates of K and h become x E^-1, so every pairing is
+    unchanged.  The other keys are kept."""
+    gram = [list(row) for row in doc["gram"]]
+    for i, j, c in moves:
+        for k in range(len(gram)):
+            gram[i][k] += c * gram[j][k]
+        for k in range(len(gram)):
+            gram[k][i] += c * gram[k][j]
+    return {
+        **doc,
+        "gram": gram,
+        "K": move_coeffs(doc["K"], moves),
+        "h": move_coeffs(doc["h"], moves),
+    }
+
+
 def skewed_document(rank: int, seed: int) -> dict:
     """The plane blown up at rank - 1 points, h = d l - sum e_i with
-    h^2 > 0, written in a basis skewed by seeded moves b_i <- b_i + c b_j.
-
-    The gram matrix becomes E G E^T and coordinates x E^-1, so every
-    pairing is unchanged while the gram matrix fills up off the diagonal.
-    """
-    rng = random.Random(seed)
+    h^2 > 0, written in a basis skewed by 2 rank seeded unimodular moves,
+    so that the gram matrix fills up off the diagonal."""
     n = rank
     degree = int((n - 1) ** 0.5) + 1
-    gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)]
-    K = [-3] + [1] * (n - 1)
-    h = [degree] + [-1] * (n - 1)
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((1, -1))
-        for k in range(n):
-            gram[i][k] += c * gram[j][k]
-        for k in range(n):
-            gram[k][i] += c * gram[k][j]
-        for v in (K, h):
-            v[j] -= c * v[i]
-    return {
+    document = {
         "name": f"skewed-rank-{rank}",
         "basis": [f"v{i}" for i in range(n)],
-        "gram": gram,
-        "K": K,
-        "h": h,
+        "gram": [
+            [(1 if i == 0 else -1) if i == j else 0 for j in range(n)] for i in range(n)
+        ],
+        "K": [-3] + [1] * (n - 1),
+        "h": [degree] + [-1] * (n - 1),
         "flags": {"very_ample": "true", "non_special": "true"},
     }
+    return moved_document(document, unimodular_moves(random.Random(seed), n, 2 * n))

@@ -197,11 +197,14 @@ def _candidate_count(S, bound):
     return candidates
 
 
-def test_bounded_matches_reference_across_default_chunks():
+def test_bounded_matches_reference_across_chunks_on_a_diagonal_gram(monkeypatch):
+    # on a diagonal gram stage 1 keeps only the solutions: the 30 of
+    # del-pezzo-4 in the box of 7^5 = 16,807 points fill five chunks of 7
+    monkeypatch.setattr(enumeration, "_CHUNK", 7)
     S = del_pezzo(4)
-    # 7^5 = 16,807 box points, of which more candidates than one chunk holds
-    assert _candidate_count(S, 3) == 5202 > enumeration._CHUNK
-    assert enumerate_bounded(S, 3) == reference_enumerate_bounded(S, 3)
+    solutions = enumerate_bounded(S, 3)
+    assert len(solutions) == 30
+    assert solutions == reference_enumerate_bounded(S, 3)
 
 
 def _fix_parity(gram, K):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -332,6 +333,24 @@ def test_no_auto_derivation_without_a_theorem(kind):
     assert [hypothesis_flag(S, name) for name in AUTO_DERIVED_FLAGS] == [None, None]
     assert not standing_hypotheses(S)
     assert derived_invariants(S).N is None
+
+
+FLAG_NAMES = [field.name for field in dataclasses.fields(HypothesisFlags)]
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", "unknown"])
+@pytest.mark.parametrize("name", FLAG_NAMES)
+def test_flags_refuse_values_that_are_not_tri_state(name, value):
+    # 1 or "true" would read as asserted, block the auto-derivation and
+    # leave N and the verdicts unknown
+    with pytest.raises(TypeError, match=name):
+        HypothesisFlags(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, False, None])
+@pytest.mark.parametrize("name", FLAG_NAMES)
+def test_flags_take_the_three_tri_state_values(name, value):
+    assert getattr(HypothesisFlags(**{name: value}), name) is value
 
 
 def test_standing_hypotheses_need_pg_and_q_zero():
