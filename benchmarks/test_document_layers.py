@@ -2,7 +2,9 @@
 
 Times parse_surface, make_lattice and serialize_surface on plane blow-ups
 of Picard rank 20, 40 and 60 written in a skewed basis, the documents the
-tests use.  Outside the test suite; run from the repository root with
+tests use, and derived_invariants on such a surface freshly parsed before
+each round, so that h.K (lattice.pair with the canonical class) is computed
+in the timed call.  Outside the test suite; run from the repository root with
 
     python -m pytest benchmarks/test_document_layers.py --benchmark-json BENCH_documents.json
 
@@ -15,7 +17,8 @@ import pytest
 
 from documents import skewed_document
 from ulrichsurf.catalog import parse_surface, serialize_surface
-from ulrichsurf.lattice import make_lattice
+from ulrichsurf.invariants import derived_invariants
+from ulrichsurf.lattice import DivisorClass, make_lattice
 
 RANKS = (20, 40, 60)
 
@@ -39,3 +42,14 @@ def test_serialize_surface(benchmark, rank):
     S = parse_surface(json.dumps(skewed_document(rank, 1)))
     text = benchmark(serialize_surface, S)
     assert text.endswith("}\n")
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_derived_invariants_on_a_fresh_document(benchmark, rank):
+    text = json.dumps(skewed_document(rank, 1))
+    inv = benchmark.pedantic(
+        derived_invariants, setup=lambda: ((parse_surface(text),), {}),
+        rounds=300, warmup_rounds=5,
+    )
+    S = parse_surface(text)
+    assert inv.hK == S.lattice.pair(S.h, DivisorClass(S.K.coeffs))

@@ -34,6 +34,7 @@ from .invariants import (
 )
 from .lattice import (
     DivisorClass,
+    _validated_lattice,
     blowup_p2_lattice,
     dot,
     hirzebruch_lattice,
@@ -356,7 +357,14 @@ def _array(items: list[str], depth: int, brackets: str = "[]") -> str:
 
 
 def _int_array(values, depth: int) -> str:
-    return _array(list(map(str, values)), depth)
+    """_array of the ints in values, written by one repr of the list and
+    one str.replace: the per-entry work runs in C.  values is not empty,
+    since a surface has h^2 > 0 and so rank at least 1."""
+    inner = "\n" + "  " * (depth + 1)
+    return (
+        "[" + inner + repr(list(values))[1:-1].replace(", ", "," + inner)
+        + "\n" + "  " * depth + "]"
+    )
 
 
 def _json(value, depth: int = 0) -> str:
@@ -391,7 +399,8 @@ def serialize_surface(S: PolarizedSurface) -> str:
 
     The text is byte-identical to ``json.dumps(doc, indent=2) + "\n"`` for
     the dict of these fields, but written directly from the lattice's int
-    tuples: with an indent, json.dumps runs its pure-Python encoder.
+    tuples, since with an indent json.dumps runs its pure-Python encoder:
+    each gram row, K and h by one repr and one str.replace (_int_array).
     """
     lattice = S.lattice
     gram = [_int_array(row, 2) for row in lattice.gram]
@@ -490,7 +499,8 @@ def parse_surface(text: str) -> PolarizedSurface:
     gram_raw = _expect(doc, "gram", list, required=True)
     # json.loads makes exact lists and ints, and bool fails the exact type
     # test, so two builtin passes accept a well-formed gram; the loop only
-    # runs to name the first bad entry.
+    # runs to name the first bad entry.  Every entry is then an exact int,
+    # so the lattice skips make_lattice's operator.index pass.
     if not (
         {*map(type, gram_raw)} <= {list}
         and {*map(type, chain.from_iterable(gram_raw))} <= {int}
@@ -524,10 +534,10 @@ def parse_surface(text: str) -> PolarizedSurface:
             )
         flag_values[key] = _TRISTATE[value]
     try:
-        lattice = make_lattice(gram_raw, K, basis)
+        lattice = _validated_lattice(tuple(map(tuple, gram_raw)), K, basis)
     except UlrichSurfError as exc:
-        # make_lattice checks that the gram is square before it checks the
-        # lengths of K and of the labels: name the field that is wrong
+        # the lattice is checked square before the lengths of K and of the
+        # labels: name the field that is wrong
         rank = len(gram_raw)
         field = "gram"
         if isinstance(exc, DimensionMismatch) and all(len(r) == rank for r in gram_raw):

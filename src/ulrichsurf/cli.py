@@ -16,7 +16,11 @@ of a request matters: the parser is built once per process, a command
 line is parsed once by its command's subparser, a builtin name resolves
 once per process (catalog.builtin_surface), and JSON is written directly
 (catalog._json, beside the surface-document writer) rather than by the
-pure-Python encoder json.dumps uses with an indent.
+pure-Python encoder json.dumps uses with an indent.  A --surface document
+costs O(rank^2) only where it must: its gram entries are type-checked
+once (catalog.parse_surface), h.K is read off the lattice's cached
+gram . K in O(rank) (IntersectionLattice.pair), and convert writes each
+integer row by one repr and one str.replace.
 """
 
 from __future__ import annotations

@@ -204,6 +204,8 @@ class PolarizedSurface:
 
     @cached_property
     def hK(self) -> int:
+        """pair(h, K) with K the lattice's own canonical class: O(rank),
+        from the cached gram_K."""
         return self.lattice.pair(self.h, self.K)
 
     @cached_property

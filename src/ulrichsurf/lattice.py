@@ -81,9 +81,13 @@ def as_divisor(value: DivisorLike) -> DivisorClass:
 class IntersectionLattice:
     """Free abelian group with symmetric pairing and canonical class.
 
-    Construct through :func:`make_lattice`, which validates symmetry and
-    adjunction parity.  The parity check on basis vectors alone suffices:
-    writing o(D) = D.D + D.K, bilinearity and symmetry of the pairing give
+    Construct through :func:`make_lattice`, which coerces the entries to
+    ints and checks symmetry and adjunction parity in _validated_lattice.
+    parse_surface, whose own type pass has already proved every entry an
+    int, calls that validator directly, so every builtin and every
+    document is validated in one place.  The parity check on basis
+    vectors alone suffices: writing o(D) = D.D + D.K, bilinearity and
+    symmetry of the pairing give
     o(D + E) = o(D) + o(E) + 2 D.E, so o is additive mod 2 and vanishes on
     all integer vectors as soon as it vanishes on the basis.
 
@@ -120,8 +124,11 @@ class IntersectionLattice:
         return D
 
     def pair(self, D: DivisorLike, E: DivisorLike) -> int:
-        """Intersection product D^T . gram . E."""
+        """Intersection product D^T . gram . E; O(rank) from the cached
+        gram_K when E is the canonical class itself."""
         D = self.check_dimension(D)
+        if E is self.canonical:
+            return dot(D.coeffs, self.gram_K)
         e = self.check_dimension(E).coeffs
         return sum(d * dot(row, e) for d, row in zip(D.coeffs, self.gram) if d)
 
@@ -144,11 +151,24 @@ def make_lattice(
     """Validate and build an intersection lattice.
 
     Raises AsymmetricGram, ParityViolation or DimensionMismatch, and
-    TypeError for an entry that is not an integer (``operator.index``).
-    Every builtin surface and parse_surface build their lattice here, so
-    the integrality argument of IntersectionLattice holds for all of them.
+    TypeError for an entry that is not an integer (``operator.index``:
+    a bool becomes 0/1).  Every builtin surface builds its lattice here,
+    and every lattice, a parsed document's included, is validated in
+    _validated_lattice, so the integrality argument of IntersectionLattice
+    holds for all of them.
     """
     rows = tuple(tuple(map(index, row)) for row in gram)
+    return _validated_lattice(rows, canonical, labels)
+
+
+def _validated_lattice(
+    rows: tuple[tuple[int, ...], ...],
+    canonical: DivisorLike,
+    labels: Sequence[str],
+) -> IntersectionLattice:
+    """The lattice of rows, entries already exact ints, once it passes the
+    checks: a square gram, K and labels of its rank, symmetry and parity.
+    make_lattice and parse_surface build every lattice through here."""
     rank = len(rows)
     for row in rows:
         if len(row) != rank:

@@ -1,7 +1,17 @@
-"""Surface documents in a skewed basis, shared by the tests and the
-per-layer benchmarks."""
+"""Surface documents in a skewed basis, and a list of builtin names,
+shared by the tests and the per-layer benchmarks."""
 
 import random
+
+# Every builtin family, several members each.
+BUILTINS = (
+    ["p2-1", "p2-3", "p1xp1-1-1", "p1xp1-2-3", "hirzebruch-e1-a1-b2",
+     "hirzebruch-e2-a1-b3", "bordiga", "table1-row-2-printed",
+     "enriques-8", "enriques-10", "kim-5-3", "kim-6-6"]
+    + [f"table1-row-{n}" for n in range(1, 8)]
+    + [f"del-pezzo-{d}" for d in range(3, 10)]
+    + [f"kim-4-{m}" for m in range(2, 10)]
+)
 
 
 def unimodular_moves(rng: random.Random, rank: int, count: int) -> list[tuple]:

@@ -4,12 +4,13 @@ parse_surface and the Hodge-index check, each against a reference."""
 import dataclasses
 import json
 import re
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from documents import skewed_document
+from documents import BUILTINS, skewed_document
 from ulrichsurf.catalog import (
     _FLAG_KEYS,
     _flag_to_text,
@@ -19,20 +20,11 @@ from ulrichsurf.catalog import (
 )
 from ulrichsurf.cli import run
 from ulrichsurf.errors import ValidationError
-from ulrichsurf.invariants import HypothesisFlags, SurfaceKind
-from ulrichsurf.lattice import make_lattice
+from ulrichsurf.invariants import HypothesisFlags, PolarizedSurface, SurfaceKind
+from ulrichsurf.lattice import DivisorClass, make_lattice
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# Every builtin family, several members each.
-BUILTINS = (
-    ["p2-1", "p2-3", "p1xp1-1-1", "p1xp1-2-3", "hirzebruch-e1-a1-b2",
-     "hirzebruch-e2-a1-b3", "bordiga", "table1-row-2-printed",
-     "enriques-8", "enriques-10", "kim-5-3", "kim-6-6"]
-    + [f"table1-row-{n}" for n in range(1, 8)]
-    + [f"del-pezzo-{d}" for d in range(3, 10)]
-    + [f"kim-4-{m}" for m in range(2, 10)]
-)
 SKEWED_RANKS = range(2, 61)
 
 
@@ -83,6 +75,49 @@ def test_writer_matches_reference_and_round_trips_on_builtins(name):
 def test_writer_matches_reference_on_skewed_documents(rank):
     S = parse_surface(json.dumps(skewed_document(rank, rank)))
     assert serialize_surface(S) == reference_serialize(S)
+
+
+# Magnitudes from 0 to 10, just past a machine word, and up to 1000 digits.
+MAGNITUDES = (
+    st.integers(0, 10) | st.integers(2**63, 2**64) | st.integers(2**64, 10**1000 - 1)
+)
+COEFFS = st.builds(mul, st.sampled_from((1, -1)), MAGNITUDES)
+
+
+@st.composite
+def arrow_surfaces(draw):
+    """A surface of rank 1 to 8 whose gram has a > 0 at [0][0], any x_i in
+    row and column 0 and -m_i < 0 on the rest of the diagonal.  -diag(m) is
+    negative definite and a > 0, so the form has signature (1, rank - 1) and
+    every h with h^2 > 0 passes the Hodge index check.  K_i is even for
+    i >= 1; m_i and a are nudged to make the parity hold, and a is raised,
+    if need be, until h^2 > 0."""
+    rank = draw(st.integers(1, 8))
+    x = [draw(COEFFS) for _ in range(rank - 1)]
+    m = [draw(MAGNITUDES) + 1 for _ in range(rank - 1)]
+    K = [draw(COEFFS)] + [2 * draw(COEFFS) for _ in range(rank - 1)]
+    h = [draw(COEFFS) or 1] + [draw(COEFFS) for _ in range(rank - 1)]
+    # b_i.b_i + b_i.K = -m_i (1 + K_i) + x_i K_0, for i >= 1
+    m = [mi + (mi + xi * K[0]) % 2 for mi, xi in zip(m, x)]
+    # h^2 = a h_0^2 + 2 h_0 sum x_i h_i - sum m_i h_i^2
+    cross = 2 * h[0] * sum(map(mul, x, h[1:]))
+    negative = sum(mi * hi * hi for mi, hi in zip(m, h[1:]))
+    a = max(draw(MAGNITUDES) + 1, (negative - cross) // (h[0] * h[0]) + 1)
+    # b_0.b_0 + b_0.K = a (1 + K_0) + sum x_i K_i, and each K_i is even
+    a += a % 2 * (1 - K[0] % 2)
+    gram = [[a, *x]] + [
+        [xi] + [-mi if j == i else 0 for j in range(rank - 1)]
+        for i, (xi, mi) in enumerate(zip(x, m))
+    ]
+    labels = [f"b{i}" for i in range(rank)]
+    return PolarizedSurface(lattice=make_lattice(gram, K, labels), h=DivisorClass(tuple(h)))
+
+
+@given(arrow_surfaces())
+def test_writer_matches_reference_and_round_trips_on_large_and_negative_entries(S):
+    text = serialize_surface(S)
+    assert text == reference_serialize(S)
+    assert serialize_surface(parse_surface(text)) == text
 
 
 KINDS = st.sampled_from([

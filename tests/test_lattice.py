@@ -1,11 +1,17 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from documents import BUILTINS, skewed_document
+from ulrichsurf.catalog import builtin_surface, parse_surface
 from ulrichsurf.errors import AsymmetricGram, DimensionMismatch, ParityViolation
 from ulrichsurf.lattice import (
     DivisorClass,
     IntersectionLattice,
     blowup_p2_lattice,
+    dot,
     hirzebruch_lattice,
     make_lattice,
 )
@@ -112,6 +118,35 @@ def test_pair_bilinear(data, a, b):
 def test_adjunction_parity_all_vectors(data):
     L, (D,) = data
     assert (L.pair(D, D) + L.pair(D, L.canonical)) % 2 == 0
+
+
+def _check_canonical_fast_path(L, rng):
+    """pair(D, K) against the canonical class itself (the gram_K fast path),
+    against an equal copy (the general pairing) and against dot(D, gram_K),
+    for seeded random D; a D of the wrong length still raises."""
+    K = L.canonical
+    copy = DivisorClass(K.coeffs)
+    assert copy is not K
+    for D in [K] + [
+        DivisorClass(tuple(rng.randint(-50, 50) for _ in range(L.rank)))
+        for _ in range(20)
+    ]:
+        assert L.pair(D, K) == L.pair(D, copy) == dot(D.coeffs, L.gram_K)
+        assert L.pair(list(D.coeffs), K) == L.pair(D, K)
+    for length in (L.rank - 1, L.rank + 1):
+        with pytest.raises(DimensionMismatch):
+            L.pair((1,) * length, K)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_pair_with_canonical_matches_general_pairing_on_builtins(name):
+    _check_canonical_fast_path(builtin_surface(name).lattice, random.Random(name))
+
+
+@pytest.mark.parametrize("rank", range(2, 41))
+def test_pair_with_canonical_matches_general_pairing_on_skewed_documents(rank):
+    S = parse_surface(json.dumps(skewed_document(rank, rank)))
+    _check_canonical_fast_path(S.lattice, random.Random(rank))
 
 
 def test_divisor_arithmetic():
