@@ -1,15 +1,16 @@
 """Per-layer timings of the fixed cost of a CLI request.
 
 Times ``cli.run`` end to end on each of the README's example command lines,
-with stdout sent to a ``StringIO``; its argument dispatch on the same lines,
-against the top-level parser's own ``parse_args``; and the indent-2 JSON
-writer, against ``json.dumps(indent=2)``, and the table renderer on what
-``classify``, ``info`` and ``enumerate`` print.  ``convert --surface
-mine.json`` reads a temporary document written by ``convert --builtin
-kim-4-9``.  Builtin names resolve once per process
-(``catalog.builtin_surface``), so every round but the first times a
-request on a surface already built.  Outside the test suite; run from the
-repository root with
+with stdout sent to a ``StringIO``; its argument parse on the same lines,
+"direct" (``cli._parse_args``, which reads a well-formed line from the
+option table) against "top-level" (the shared parser's own
+``parse_args``); and the indent-2 JSON writer, against
+``json.dumps(indent=2)``, and the table renderer on what ``classify``,
+``info`` and ``enumerate`` print.  ``convert --surface mine.json`` reads a
+temporary document written by ``convert --builtin kim-4-9``.  Builtin
+names resolve once per process (``catalog.builtin_surface``), so every
+round but the first times a request on a surface already built.  Outside
+the test suite; run from the repository root with
 
     python -m pytest benchmarks/test_cli_layers.py --benchmark-json BENCH_cli.json
 

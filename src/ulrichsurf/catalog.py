@@ -520,15 +520,18 @@ def parse_surface(text: str) -> PolarizedSurface:
         for i, label in enumerate(basis):
             if not isinstance(label, str):
                 raise ValidationError(f"basis[{i}]", "expected a string")
-    pg = _expect(doc, "pg", int, default=0)
-    q = _expect(doc, "q", int, default=0)
+    pg = _capped(_expect(doc, "pg", int, default=0), "pg")
+    q = _capped(_expect(doc, "q", int, default=0), "q")
     kind_text = _expect(doc, "kind", str, default="abstract")
+    kind_params = re.split("[:,]", kind_text)
+    if any(sum(map(str.isdigit, param)) > MAX_DIGITS for param in kind_params):
+        raise _too_many_digits("kind")
     flags_raw = _expect(doc, "flags", dict, default={})
     flag_values = {}
     for key, value in flags_raw.items():
         if key not in _FLAG_KEYS:
             raise ValidationError(f"flags.{key}", "unknown flag")
-        if value not in _TRISTATE:
+        if type(value) is not str or value not in _TRISTATE:
             raise ValidationError(
                 f"flags.{key}", 'expected "true", "false" or "unknown"'
             )
@@ -604,10 +607,23 @@ def builtin_names() -> list[tuple[str, str]]:
 
 
 # Every integer a request reads from its command line, builtin-name
-# parameters included, has at most this many decimal digits.  Every value
-# a command prints is a product of at most four of them, so it stays under
-# the interpreter's 4300-digit limit on int <-> str conversion.
+# parameters included, and a document's pg, q and kind parameters have at
+# most this many decimal digits.  Every value a command prints is a
+# product of at most four of them, so it stays under the interpreter's
+# 4300-digit limit on int <-> str conversion.
 MAX_DIGITS = 1000
+_INT_CAP = 10 ** MAX_DIGITS
+
+
+def _too_many_digits(field: str) -> ValidationError:
+    return ValidationError(field, f"more than {MAX_DIGITS} digits")
+
+
+def _capped(value: int, field: str) -> int:
+    """value, refused when it has more than MAX_DIGITS digits."""
+    if not -_INT_CAP < value < _INT_CAP:
+        raise _too_many_digits(field)
+    return value
 
 
 @lru_cache(maxsize=128)

@@ -12,11 +12,14 @@ digits.  A reader that closes stdout early changes no exit code, and
 prints nothing on stderr, even for --help.
 
 Most requests need only a few exact integer products, so the fixed cost
-of a request matters: the parser is built once per process, a command
-line is parsed once by its command's subparser, a builtin name resolves
-once per process (catalog.builtin_surface), and JSON is written directly
-(catalog._json, beside the surface-document writer) rather than by the
-pure-Python encoder json.dumps uses with an indent.  A --surface document
+of a request matters.  The argparse parser is built once per process and
+stays the only declaration of the options; a table read off its actions
+(_option_table) parses a well-formed command line in one pass, and any
+other line, help and usage errors included, goes to argparse itself, so
+every error, usage line and help text is argparse's own.  A builtin name
+resolves once per process (catalog.builtin_surface), and JSON is written
+directly (catalog._json, beside the surface-document writer) rather than
+by the pure-Python encoder json.dumps uses with an indent.  A --surface document
 costs O(rank^2) only where it must: its gram entries are type-checked
 once (catalog.parse_surface), h.K is read off the lattice's cached
 gram . K in O(rank) (IntersectionLattice.pair), and convert writes each
@@ -29,13 +32,14 @@ import argparse
 import functools
 import os
 import sys
+from argparse import SUPPRESS
 from pathlib import Path
 
 from . import catalog
-from .catalog import _json
+from .catalog import _capped, _json, _too_many_digits
 from .classify import classify
 from .enumeration import enumerate_bounded, enumerate_rank2_exact
-from .errors import RankTooHigh, UlrichSurfError, UnreadableFile, ValidationError
+from .errors import RankTooHigh, UlrichSurfError, UnreadableFile
 from .invariants import ChernData, derived_invariants, embedding_sanity
 from .lattice import DivisorClass
 from .ulrich import (
@@ -48,21 +52,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
-
-
-_INT_CAP = 10 ** catalog.MAX_DIGITS
-
-
-def _too_many_digits(option: str) -> ValidationError:
-    return ValidationError(option, f"more than {catalog.MAX_DIGITS} digits")
-
-
-def _capped(value: int, option: str) -> int:
-    """An integer option's value, refused when it has more than
-    catalog.MAX_DIGITS digits."""
-    if not -_INT_CAP < value < _INT_CAP:
-        raise _too_many_digits(option)
-    return value
 
 
 def _parse_coeffs(text: str, option: str) -> DivisorClass:
@@ -279,28 +268,110 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The shared parser's parse_args(argv), in one pass where it can be.
+def _single_store(action: argparse.Action) -> bool:
+    """Whether action stores one word, converted by its type alone: argparse
+    converts a str default through the type at the end of a parse."""
+    return (
+        type(action) is argparse._StoreAction and action.nargs is None
+        and not (isinstance(action.default, str) and action.type is not None)
+    )
 
-    argparse reads a command line twice: the top-level parser scans all of
-    it, then hands the words after the command to that command's subparser.
-    When the first word names a command, this calls the subparser at once.
-    Every other line, and one the subparser leaves words over from, takes
-    the full route, so its errors and usage lines are argparse's own.
-    """
-    parser = _shared_parser()
-    if argv:
-        commands = next(
-            action.choices for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
+
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    """The namespace parser starts a parse with: its actions' defaults,
+    then its set_defaults values for the other names."""
+    defaults = {}
+    for action in parser._actions:
+        if action.dest is not SUPPRESS and action.default is not SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return defaults
+
+
+@functools.lru_cache(maxsize=1)
+def _option_table(parser: argparse.ArgumentParser) -> dict[str, tuple]:
+    """Per command of parser: (namespace defaults, {option string: action},
+    positional actions, required actions), read off the parser's own
+    actions.  A command enters only when each of its actions stores a
+    single value or is its help.  Cached per parser, so a parser rebuilt
+    after _shared_parser.cache_clear() gets a table of its own."""
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    table = {}
+    for name, subparser in commands.choices.items():
+        actions = subparser._actions
+        if subparser._mutually_exclusive_groups or not all(
+            _single_store(a) or type(a) is argparse._HelpAction for a in actions
+        ):
+            continue
+        table[name] = (
+            {**_defaults(parser), commands.dest: name, **_defaults(subparser)},
+            {option: a for a in actions if _single_store(a) for option in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            frozenset(a for a in actions if a.required),
         )
-        subparser = commands.get(argv[0])
-        if subparser is not None:
-            args, extras = subparser.parse_known_args(argv[1:])
-            if not extras:
-                args.command = argv[0]
-                return args
-    return parser.parse_args(argv)
+    return table
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """argv read from the option table, or None when argparse must read it.
+
+    Reads only "--opt value", "--opt=value" with an exact option string,
+    and positional words; the last repeat of an option wins, and a value
+    goes through the action's type, then its choices, as argparse does.
+    Any other word starting with "-", a separate value that is empty or
+    starts with "-", a failed type or choices check, or a missing or
+    surplus word declines the whole line.
+    """
+    entry = _option_table(_shared_parser()).get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    defaults, options, positionals, required = entry
+    values = dict(defaults)
+    seen = set()
+    i, end, filled = 1, len(argv), 0
+    while i < end:
+        word = argv[i]
+        i += 1
+        if word[:1] != "-":
+            if filled == len(positionals):
+                return None
+            action, value = positionals[filled], word
+            filled += 1
+        elif word in options:
+            if i == end or argv[i][:1] in ("", "-"):
+                return None
+            action, value = options[word], argv[i]
+            i += 1
+        else:
+            # argparse turns an explicit "--" into an empty list of values
+            option, equals, value = word.partition("=")
+            action = options.get(option)
+            if action is None or not equals or value == "--":
+                return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except Exception:  # argparse reports it in its own words
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The shared parser's parse_args(argv): read from the option table
+    when the line is well formed, by argparse otherwise, so that every
+    error, usage line and help text is argparse's own."""
+    args = _table_parse(argv)
+    return _shared_parser().parse_args(argv) if args is None else args
 
 
 def run(argv: list[str] | None = None) -> int:

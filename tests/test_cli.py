@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -7,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ulrichsurf import catalog, cli
 from ulrichsurf.catalog import parse_surface, serialize_surface
@@ -481,6 +482,59 @@ def test_largest_allowed_integers_are_answered(capsys, fmt):
     assert message == f"{7 * (2 * big + 1)} search table entries exceed cap 1000000"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("value", [["true"], {"value": "true"}, 1, True],
+                         ids=["list", "object", "number", "json-true"])
+def test_non_string_flag_value_is_a_validation_error(capsys, tmp_path, value, fmt):
+    # a list or an object used to exit 3: unhashable in the tristate lookup
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps({
+        "gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [1, 0], "flags": {"very_ample": value},
+    }))
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert _validation_error(err, fmt) == 'flags.very_ample: expected "true", "false" or "unknown"'
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("field,value", [
+    ("pg", int("9" * 4300)),
+    ("pg", -int(OVER)),
+    ("q", int(OVER)),
+    ("kind", "p2:" + "9" * 4000),
+    ("kind", f"hirzebruch:1,1_{NINES},3"),
+], ids=["pg-4300", "pg-negative", "q", "p2-lambda-4000", "hirzebruch-b-underscored"])
+def test_document_count_or_kind_parameter_over_the_digit_cap_exits_1(
+    capsys, tmp_path, field, value, fmt
+):
+    # a 4300-digit pg gave chi 4301 digits, and the kind mismatch message
+    # printed lambda^2: both exited 3 when the number was printed
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": [[1]], "K": [-3], "h": [1], field: value}))
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert _validation_error(err, fmt) == f"{field}: more than 1000 digits"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_document_counts_and_kind_parameter_at_the_digit_cap_are_answered(capsys, tmp_path, fmt):
+    big = int(NINES)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": [[1]], "K": [-3], "h": [1], "pg": big}))
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["chi"] == 1 + big
+    path.write_text(json.dumps({"gram": [[1]], "K": [-3], "h": [1], "pg": big, "q": big}))
+    code, out, err = invoke(capsys, "convert", "--surface", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["pg"], json.loads(out)["q"]) == (big, big)
+    path.write_text(json.dumps({"gram": [[1]], "K": [-3], "h": [1], "kind": f"p2:{NINES}"}))
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert _validation_error(err, fmt).endswith(f"{(1, big * big, -3 * big, 9)}, the document has (1, 1, -3, 9)")
+
+
 # ---------------------------------------------------------------------------
 # Unexpected exceptions
 
@@ -701,7 +755,7 @@ def test_repeated_requests_on_one_builtin_answer_as_the_first(capsys, fmt):
 
 
 # ---------------------------------------------------------------------------
-# Direct dispatch: the same parse as the top-level parser's parse_args
+# The option table: the same parse as the top-level parser's parse_args
 
 
 def _parsed(capsys, parse, argv):
@@ -752,6 +806,70 @@ def test_direct_dispatch_parses_as_the_top_level_parser(capsys, monkeypatch, arg
     expected = _outcome(capsys, list(argv))
     monkeypatch.setattr(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a))
     assert _outcome(capsys, list(argv)) == expected
+
+
+_SUBPARSERS = next(
+    action.choices for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+OPTION_STRINGS = sorted({
+    option for subparser in _SUBPARSERS.values()
+    for action in subparser._actions for option in action.option_strings
+})
+ABBREVIATIONS = sorted({
+    option[:end] for option in OPTION_STRINGS if option.startswith("--")
+    for end in range(3, len(option))
+})
+VALUES = [
+    "", "-", "-3", "-1,5", "json", "xml", "table", " 5", "1_0", "x=y", "--",
+    "9" * 1001, "-" + "9" * 1001, "2", "1,5", "list", "verify", "p2-1", "p1xp1-2-3",
+]
+# values that some option accepts
+GOOD_VALUES = ["json", "table", "2", " 5", "1_0", "1,5", "p2-1", "list", "verify"]
+WORDS = [*_SUBPARSERS, *OPTION_STRINGS, *ABBREVIATIONS, "-h", "--help", "--", "--bogus", *VALUES]
+_WORD = st.sampled_from(WORDS) | st.builds(
+    "{}={}".format, st.sampled_from(OPTION_STRINGS + ABBREVIATIONS), st.sampled_from(VALUES)
+)
+
+
+def _extended(line):
+    """line with words appended: mostly its command's own options with a
+    value, separate or after "=", so that many lines stay well formed,
+    and stray words, repeats and missing values among them."""
+    subparser = _SUBPARSERS.get(line[0])
+    own = OPTION_STRINGS if subparser is None else sorted(
+        option for action in subparser._actions for option in action.option_strings
+    )
+    pair = st.tuples(st.sampled_from(own), st.sampled_from(GOOD_VALUES) | st.sampled_from(VALUES))
+    chunk = pair | pair.map(lambda words: ("=".join(words),)) | st.tuples(_WORD)
+    return st.lists(chunk, max_size=4).map(
+        lambda chunks: [*line, *(word for words in chunks for word in words)]
+    )
+
+
+# a well-formed line or a single word, then extended
+ARGVS = (st.sampled_from(COMMANDS) | st.sampled_from(WORDS).map(lambda word: [word])).flatmap(
+    _extended
+)
+
+
+@settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(ARGVS)
+@example(["check-line", "--builtin", "p2-1", "--divisor", "-1,5"])
+@example(["check-rank", "--builtin", "p2-1", "--rank", "2", "--c1", "1", "--c2", "-3"])
+@example(["info", "--builtin", "--"])
+@example(["info", "--builtin=--"])
+@example(["info", "--builtin", "-"])
+@example(["info", "--builtin", ""])
+@example(["catalog", "list", "verify"])
+@example(["catalog", "--format", "xml", "list"])
+@example(["clifford", "--a", "9" * 1001, "--m", "1_0"])
+def test_option_table_parses_as_the_top_level_parser(capsys, argv):
+    reference = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert _parsed(capsys, cli._parse_args, argv) == reference
 
 
 def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
