@@ -448,9 +448,18 @@ def _expect(doc: dict, key: str, type_, default=None, required=False):
 
 def _int_vector(doc: dict, key: str) -> list[int]:
     value = _expect(doc, key, list, required=True)
-    for i, entry in enumerate(value):
-        if not isinstance(entry, int) or isinstance(entry, bool):
-            raise ValidationError(f"{key}[{i}]", "expected an integer")
+    # as for the gram, builtin passes accept a well-formed vector, here with
+    # every entry under the digit cap, and the loop only runs to name the
+    # first bad entry
+    if not (
+        {*map(type, value)} <= {int}
+        and -_INT_CAP < min(value, default=0)
+        and max(value, default=0) < _INT_CAP
+    ):
+        for i, entry in enumerate(value):
+            if type(entry) is not int:
+                raise ValidationError(f"{key}[{i}]", "expected an integer")
+            _capped(entry, f"{key}[{i}]")
     return value
 
 
@@ -607,10 +616,11 @@ def builtin_names() -> list[tuple[str, str]]:
 
 
 # Every integer a request reads from its command line, builtin-name
-# parameters included, and a document's pg, q and kind parameters have at
-# most this many decimal digits.  Every value a command prints is a
-# product of at most four of them, so it stays under the interpreter's
-# 4300-digit limit on int <-> str conversion.
+# parameters included, and a document's pg, q, kind parameters and entries
+# of K and h have at most this many decimal digits.  Every value a command
+# prints is a product of at most four of them, so it stays under the
+# interpreter's 4300-digit limit on int <-> str conversion.  A document's
+# gram entries are not capped yet.
 MAX_DIGITS = 1000
 _INT_CAP = 10 ** MAX_DIGITS
 

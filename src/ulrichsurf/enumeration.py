@@ -4,12 +4,14 @@ Three routes: an exact solver on lattices of rank at most 2 (parametrize
 the integer solutions of the linear equation, then solve the induced
 univariate quadratic in integers), the closed form on P^1 x P^1,
 and a bounded exhaustive search usable on any rank as an independent
-oracle.  The bounded search visits every point of its box once, in
-builtins; on a diagonal gram matrix, the case of planes blown up at points
-in their standard basis, one packed integer sum and one set lookup per box
-point decide both conditions, and otherwise the points that pass the linear
-condition are tested column by column.  Outputs are numerical candidates
-only and are always sorted lexicographically by coefficient vector.
+oracle.  The bounded search clips its box to the intervals that the Hodge
+index theorem proves hold every solution (PolarizedSurface.line_intervals)
+and visits every point of what is left once, in builtins; on a diagonal
+gram matrix, the case of planes blown up at points in their standard
+basis, one packed integer sum and one set lookup per box point decide both
+conditions, and otherwise the points that pass the linear condition are
+tested column by column.  Outputs are numerical candidates only and are
+always sorted lexicographically by coefficient vector.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     BoxTooLarge,
     DegenerateForm,
     InvalidPolarization,
+    OutOfRange,
     RankTooHigh,
 )
 from .invariants import PolarizedSurface
@@ -153,33 +156,43 @@ def enumerate_bounded(
     """Exhaustive search for solutions with all coefficients in [-bound, bound].
 
     The linear equation is used to solve one coordinate (the pivot, where
-    |D.h| has its largest coefficient) exactly, so the search visits every
-    point y of the box [-bound, bound]^(rank - 1) of the other coordinates.
-    Raises BoxTooLarge, before any search work, when the tables built for
-    the scan, rank * (2 bound + 1) entries, would exceed _TABLE_CAP, or when
-    the box's points exceed the ceiling.
+    |D.h| has its largest coefficient) exactly.  Raises OutOfRange for a
+    bound below 1, and BoxTooLarge, before any search work, when the tables
+    built for the scan, rank * (2 bound + 1) entries, would exceed
+    _TABLE_CAP, or when the requested box [-bound, bound]^(rank - 1) of the
+    other coordinates has more points than the ceiling.
+
+    Coordinate i, the pivot's included, then ranges over values_i, the
+    interval [-bound, bound] clipped to S.line_intervals[i], which holds
+    that coefficient of every solution (on a lattice without signature
+    (1, rank - 1) there is no such interval and values_i is [-bound, bound]).
+    The search visits every point y of the clipped box, the product of the
+    values_i of the other coordinates, once; it returns [] at once when
+    some values_i is empty or line_intervals is (), no solution at all.
 
     Write k = gram . K and q_i(v) = g_ii v^2 - k_i v.  On a diagonal gram
     matrix the quadratic condition D.G.D - D.K = 2(h^2 - chi) is the sum of
     one share q_i(D_i) per coordinate, so the box scan decides it together
     with the linear one.  Three stages, all in exact integer arithmetic:
 
-    1. Every box point, in builtins.  itertools.product draws the box once,
-       over one list per non-pivot coordinate, in the order of
-       product(range(-bound, bound + 1), repeat=rank - 1).  The entry for the
-       value v packs two fields, w_i v M + (q_i(v) - min q_i): every low
-       field lies in [0, M) and M exceeds the largest sum of them, so
-       map(sum, ...) gives each point's w.y and quadratic share in one
-       integer, with no carry between the fields.  A point is kept when that
-       integer is one of the packed targets, one per pivot value x in the
-       box whose required low field lies in [0, M); that is exactly when
-       x = (r - w.y) / w_pivot is an integer in the box and D is a solution.
-       On a gram matrix with an off-diagonal entry every low field is zero
-       and M = 1: the targets are {r - w_pivot x : |x| <= bound} and the
-       kept points are the candidates whose pivot is an integer in the box.
+    1. Every box point, in builtins.  itertools.product draws the clipped
+       box once, over the list of values_i of each non-pivot coordinate in
+       turn.  The entry for the value v packs two fields,
+       w_i v M + (q_i(v) - min q_i): every low field lies in [0, M) and M
+       exceeds the largest sum of them, so map(sum, ...) gives each point's
+       w.y and quadratic share in one integer, with no carry between the
+       fields.  A point is kept when that integer is one of the packed
+       targets, one per pivot value x in values_pivot whose required low
+       field lies in [0, M); that is exactly when x = (r - w.y) / w_pivot
+       is an integer in values_pivot and D is a solution.  On a gram matrix
+       with an off-diagonal entry every low field is zero and M = 1: the
+       targets are {r - w_pivot x : x in values_pivot} and the kept points
+       are the candidates whose pivot is an integer in values_pivot.
     2. Kept points, column-wise.  Their box indices are taken in chunks of
-       at most _CHUNK, decoded into one column of values per coordinate, the
-       pivot column divided out exactly, and the residual of
+       at most _CHUNK and decoded in mixed radix, len(values_i) for
+       coordinate i with the last coordinate varying fastest, as in
+       product, into one column of values per coordinate; the pivot column
+       is divided out exactly, and the residual of
        D.G.D - D.K - 2(h^2 - chi) that stage 1 left out evaluated one term
        at a time: nothing on a diagonal gram matrix, otherwise every nonzero
        entry of the upper triangle of the gram matrix and of gram . K.
@@ -188,7 +201,7 @@ def enumerate_bounded(
        line_numeric_check; the list is returned sorted.
     """
     if bound < 1:
-        raise InvalidPolarization(f"bound must be >= 1, got {bound}")
+        raise OutOfRange(f"bound must be >= 1, got {bound}")
     rank = S.lattice.rank
     w = S.gram_h
     r = (3 * S.h2 + S.hK) // 2
@@ -202,19 +215,24 @@ def enumerate_bounded(
         raise BoxTooLarge(
             f"{width ** (rank - 1)} iterations exceed ceiling {iteration_ceiling}"
         )
+    intervals = S.line_intervals
+    if intervals is None:
+        intervals = ((-bound, bound),) * rank
+    values = [range(max(lo, -bound), min(hi, bound) + 1) for lo, hi in intervals]
+    if not (values and all(values)):
+        return []
     # Pivot on the largest coefficient of the linear form for best pruning;
     # it is nonzero because h^2 > 0.
     pivot = max(range(rank), key=lambda i: abs(w[i]))
     w_pivot = w[pivot]
     others = [i for i in range(rank) if i != pivot]
-    values = range(-bound, bound + 1)
 
     # Only the data depends on the gram matrix: the shares q_i folded into
     # stage 1, and the residual terms and constant left to stage 2.
     gram, gram_K = S.lattice.gram, S.lattice.gram_K
     c = 2 * (S.h2 - S.chi)
     if any(gram[i][j] for i in range(rank) for j in range(i + 1, rank)):
-        shares = [[0] * width] * rank
+        shares = [[0] * len(values_i) for values_i in values]
         quadratic = [
             (i, j, gram[i][j] if i == j else 2 * gram[i][j])
             for i in range(rank)
@@ -225,7 +243,7 @@ def enumerate_bounded(
         residual_c = c
     else:
         shares = [
-            [(gram[i][i] * v - gram_K[i]) * v for v in values] for i in range(rank)
+            [(gram[i][i] * v - gram_K[i]) * v for v in values[i]] for i in range(rank)
         ]
         quadratic, linear_terms, residual_c = [], [], 0
     floors = {i: min(shares[i]) for i in others}
@@ -236,11 +254,11 @@ def enumerate_bounded(
     # stage 1: the index of every box point that the packed sum keeps
     targets = {
         (r - w_pivot * x) * M + low
-        for x, low in zip(values, map(sub, repeat(goal), shares[pivot]))
+        for x, low in zip(values[pivot], map(sub, repeat(goal), shares[pivot]))
         if 0 <= low < M
     }
     packed = [
-        [w[i] * v * M + q - floors[i] for v, q in zip(values, shares[i])]
+        [w[i] * v * M + q - floors[i] for v, q in zip(values[i], shares[i])]
         for i in others
     ]
     kept = compress(count(), map(targets.__contains__, map(sum, product(*packed))))
@@ -252,8 +270,9 @@ def enumerate_bounded(
         columns = [None] * rank
         # the last coordinate of the box varies fastest, as in product
         for i in reversed(others):
-            columns[i] = list(map(sub, map(mod, chunk, repeat(width)), repeat(bound)))
-            chunk = list(map(floordiv, chunk, repeat(width)))
+            radix, start = len(values[i]), values[i].start
+            columns[i] = list(map(add, map(mod, chunk, repeat(radix)), repeat(start)))
+            chunk = list(map(floordiv, chunk, repeat(radix)))
         rest = [r] * n
         for i in others:
             rest = list(map(sub, rest, map(mul, columns[i], repeat(w[i]))))

@@ -47,7 +47,8 @@ class InvalidDegree(UlrichSurfError):
 
 
 class OutOfRange(UlrichSurfError):
-    """Family parameters outside the paper-backed window."""
+    """A family parameter outside the paper-backed window, or a search
+    bound below 1."""
 
 
 class ParseError(UlrichSurfError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import comb, isqrt
 from operator import index
 from typing import Optional
 
@@ -167,9 +167,10 @@ class HypothesisFlags:
 class PolarizedSurface:
     """A lattice with a polarization h and the discrete invariants.
 
-    h^2, h.K, K^2, the sectional genus and gram . h are computed on first
-    use and kept on the instance (``functools.cached_property``); they are
-    not fields, so equality and hashing ignore them.
+    h^2, h.K, K^2, the sectional genus, gram . h and the line-bundle
+    intervals are computed on first use and kept on the instance
+    (``functools.cached_property``); they are not fields, so equality and
+    hashing ignore them.
     """
 
     lattice: IntersectionLattice
@@ -199,6 +200,38 @@ class PolarizedSurface:
         return self.lattice.gram_apply(self.h)
 
     @cached_property
+    def line_intervals(self) -> tuple[tuple[int, int], ...] | None:
+        """One interval (lo, hi) per coordinate that holds that coefficient
+        of every solution D of D.h = (3h^2 + h.K)/2 and
+        D^2 - D.K = 2(h^2 - chi); () when there is no solution, and None
+        when the lattice does not have signature (1, rank - 1).
+
+        w = 2D - K has w.h = 3h^2 and w^2 = 8(h^2 - chi) + K^2, so
+        P(w) = 2(w.h)^2 - h^2 w^2 = R = h^2(10h^2 + 8chi - K^2), where
+        P = 2(gram_h)(gram_h)^T - h^2 gram.  P is positive definite exactly
+        when h-perp is negative definite (Hodge index), and then
+        |w_i| <= s_i = isqrt(R (P^-1)_ii) (Fincke & Pohst, Math. Comp. 44,
+        1985), so D_i lies in [ceil((K_i - s_i)/2), floor((K_i + s_i)/2)].
+        """
+        h2, gram_h = self.h2, self.gram_h
+        P = [
+            [2 * a * b - h2 * g for b, g in zip(gram_h, row)]
+            for a, row in zip(gram_h, self.lattice.gram)
+        ]
+        adjugate = _positive_definite_adjugate(P)
+        if adjugate is None:
+            return None
+        det, diagonal = adjugate
+        R = h2 * (10 * h2 + 8 * self.chi - self.K2)
+        if R < 0:
+            return ()
+        intervals = []
+        for k, adj in zip(self.K.coeffs, diagonal):
+            s = isqrt(R * adj // det)
+            intervals.append((-((s - k) // 2), (k + s) // 2))
+        return tuple(intervals)
+
+    @cached_property
     def h2(self) -> int:
         return dot(self.h.coeffs, self.gram_h)
 
@@ -223,6 +256,31 @@ class PolarizedSurface:
 
     def pair(self, D: DivisorLike, E: DivisorLike) -> int:
         return self.lattice.pair(D, E)
+
+
+def _positive_definite_adjugate(P: list[list[int]]) -> tuple[int, list[int]] | None:
+    """(det P, the diagonal of adj P = det P . P^-1) for a symmetric integer
+    matrix P that is positive definite, else None.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss) of [P | I], in
+    O(rank^3) exact integer operations: every division is exact, the k-th
+    pivot is the leading principal minor of order k + 1 (all of them are
+    positive exactly when P is positive definite, by Sylvester's
+    criterion), and the right half ends as adj P.
+    """
+    n = len(P)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(P)]
+    previous = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return None
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pivot * a - f * b) // previous for a, b in zip(row, pivot_row)]
+        previous = pivot
+    return previous, [row[n + i] for i, row in enumerate(rows)]
 
 
 # Flags that are theorems on Enriques and on anticanonical surfaces: h is

@@ -401,6 +401,19 @@ def test_box_with_oversized_tables_exits_1(capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_bound_below_one_is_out_of_range(capsys, fmt, bound):
+    # a search bound is not a polarization: this used to be
+    # InvalidPolarization, which blames the surface
+    code, out, err = invoke(
+        capsys, "enumerate", "--builtin", "del-pezzo-7", f"--bound={bound}", "--format", fmt
+    )
+    assert code == 1 and out == ""
+    message = _validation_error(err, fmt, "OutOfRange")
+    assert message == f"bound must be >= 1, got {bound}"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
 def test_degenerate_line_locus_exits_1(capsys, tmp_path, fmt):
     # the quadratic along the solution line of D.h = r vanishes identically
     # (A = B = C = 0), so every point of the line is a solution
@@ -449,6 +462,34 @@ def test_integer_over_the_digit_cap_exits_1(capsys, argv, error_type, message, f
     code, out, err = invoke(capsys, *argv, "--format", fmt)
     assert code == 1 and out == ""
     assert _validation_error(err, fmt, error_type) == message
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["info", "classify", "special-chern"])
+@pytest.mark.parametrize("field, vector", [
+    ("h[0]", {"h": [10**3000 - 1, 1]}),
+    ("K[1]", {"K": [-3, -(10**3000 - 1)]}),
+])
+def test_document_vector_entry_over_the_digit_cap_exits_1(
+    capsys, tmp_path, fmt, command, field, vector
+):
+    # json.loads reads up to 4300 digits; h^2 of this h has 6000, and
+    # printing it used to exit 3
+    doc = {"gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [2, -1], **vector}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, command, "--surface", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert _validation_error(err, fmt) == f"{field}: more than 1000 digits"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_document_vector_entry_at_the_digit_cap_is_answered(capsys, tmp_path, fmt):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"gram": [[1, 0], [0, -1]], "K": [-3, 1], "h": [int(NINES), 1]}))
+    code, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert str(int(NINES) ** 2 - 1) in out
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

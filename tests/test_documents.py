@@ -82,6 +82,10 @@ MAGNITUDES = (
     st.integers(0, 10) | st.integers(2**63, 2**64) | st.integers(2**64, 10**1000 - 1)
 )
 COEFFS = st.builds(mul, st.sampled_from((1, -1)), MAGNITUDES)
+# even coefficients, none of them over the 1000-digit cap on K
+EVEN_COEFFS = st.builds(
+    lambda sign, m: sign * (m - m % 2), st.sampled_from((1, -1)), MAGNITUDES
+)
 
 
 @st.composite
@@ -95,7 +99,7 @@ def arrow_surfaces(draw):
     rank = draw(st.integers(1, 8))
     x = [draw(COEFFS) for _ in range(rank - 1)]
     m = [draw(MAGNITUDES) + 1 for _ in range(rank - 1)]
-    K = [draw(COEFFS)] + [2 * draw(COEFFS) for _ in range(rank - 1)]
+    K = [draw(COEFFS)] + [draw(EVEN_COEFFS) for _ in range(rank - 1)]
     h = [draw(COEFFS) or 1] + [draw(COEFFS) for _ in range(rank - 1)]
     # b_i.b_i + b_i.K = -m_i (1 + K_i) + x_i K_0, for i >= 1
     m = [mi + (mi + xi * K[0]) % 2 for mi, xi in zip(m, x)]

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -247,6 +247,45 @@ def _surface(gram, K, h):
     )
 
 
+def _reference_intervals(S):
+    """S.line_intervals by rational Gauss-Jordan inversion of
+    P = 2 (gram h)(gram h)^T - h^2 gram: None unless every pivot is positive
+    (P positive definite), () when R = h^2 (10 h^2 + 8 chi - K^2) < 0."""
+    n, gram_h, h2 = S.lattice.rank, S.gram_h, S.h2
+    rows = [
+        [Fraction(2 * a * b - h2 * g) for b, g in zip(gram_h, row)]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i, (a, row) in enumerate(zip(gram_h, S.lattice.gram))
+    ]
+    for k in range(n):
+        if rows[k][k] <= 0:
+            return None
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    R = h2 * (10 * h2 + 8 * S.chi - S.K2)
+    if R < 0:
+        return ()
+    intervals = []
+    for i, k in enumerate(S.K.coeffs):
+        s = isqrt(floor(R * rows[i][n + i]))  # the largest |w_i| on P(w) = R
+        intervals.append((ceil(Fraction(k - s, 2)), floor(Fraction(k + s, 2))))
+    return tuple(intervals)
+
+
+def _assert_matches_reference(surface, bound):
+    """The box search equals the reference, and the reference's solutions
+    lie inside line_intervals, which equal their rational computation."""
+    intervals = surface.line_intervals
+    assert intervals == _reference_intervals(surface)
+    solutions = reference_enumerate_bounded(surface, bound)
+    assert enumerate_bounded(surface, bound) == solutions
+    if intervals is not None:
+        for D in solutions:
+            assert all(lo <= d <= hi for d, (lo, hi) in zip(D.coeffs, intervals))
+
+
 @given(surface=small_surfaces(), bound=st.integers(1, 2))
 @settings(max_examples=150, deadline=None)
 # positive definite
@@ -255,8 +294,10 @@ def _surface(gram, K, h):
 # degenerate: gram has a kernel
 @example(surface=_surface([[1, 1], [1, 1]], [1, 0], [1, 0]), bound=2)
 @example(surface=_surface([[1, 0, 0], [0, 0, 0], [0, 0, -1]], [-3, 0, 1], [1, 0, 0]), bound=2)
+# R < 0: line_intervals is (), there is no solution
+@example(surface=_surface([[1, 0], [0, -1]], [5, 1], [1, 0]), bound=2)
 def test_bounded_matches_reference_on_generated_lattices(surface, bound):
-    assert enumerate_bounded(surface, bound) == reference_enumerate_bounded(surface, bound)
+    _assert_matches_reference(surface, bound)
 
 
 @st.composite
@@ -282,11 +323,81 @@ def diagonal_surfaces(draw):
 @example(surface=_surface([[1, 0], [0, -1]], [-3, 1], [2, 1]), bound=2)
 # the pivot x = 1 needs a low field outside [0, M): its target is dropped
 @example(surface=_surface([[1, 0], [0, -3]], [1, -1], [2, -1]), bound=1)
+# the cubic scroll: the pivot is clipped to [-3, 2]
+@example(surface=_surface([[1, 0], [0, -1]], [-3, 1], [2, -1]), bound=3)
 def test_bounded_matches_reference_on_diagonal_lattices(surface, bound):
     gram = surface.lattice.gram
     rank = surface.lattice.rank
     assert not any(gram[i][j] for i in range(rank) for j in range(rank) if i != j)
-    assert enumerate_bounded(surface, bound) == reference_enumerate_bounded(surface, bound)
+    _assert_matches_reference(surface, bound)
+
+
+# Clipping fires on both paths: del-pezzo-7 and del-pezzo-6 (diagonal) and
+# the quadric p1xp1-2-3 and del-pezzo-7 in the basis (l, l + e1, e2)
+# (off-diagonal) each have a box coordinate that their intervals cut.
+@given(
+    surface=st.one_of(small_surfaces(), diagonal_surfaces()),
+    bound=st.integers(1, 4),
+    chunk=st.sampled_from([1, 2, 7]),
+)
+@settings(max_examples=100, deadline=None)
+@example(surface=_surface([[1, 0, 0], [0, -1, 0], [0, 0, -1]], [-3, 1, 1], [3, -1, -1]),
+         bound=5, chunk=1)
+@example(surface=_surface(
+    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], [-3, 1, 1, 1], [3, -1, -1, -1]),
+    bound=5, chunk=3)
+@example(surface=_surface([[0, 1], [1, 0]], [-2, -2], [2, 3]), bound=6, chunk=1)
+@example(surface=_surface([[1, 1, 0], [1, 0, 0], [0, 0, -1]], [-4, 1, 1], [4, -1, -1]),
+         bound=6, chunk=1)
+def test_clipped_search_matches_reference_across_chunks(surface, bound, chunk):
+    previous = enumeration._CHUNK
+    enumeration._CHUNK = chunk
+    try:
+        _assert_matches_reference(surface, bound)
+    finally:
+        enumeration._CHUNK = previous
+
+
+# Every builtin in the windows the catalog lists, up to the parameters shown.
+WINDOW_BUILTINS = (
+    [f"del-pezzo-{d}" for d in range(3, 10)]
+    + [f"table1-row-{n}" for n in range(1, 8)] + ["bordiga"]
+    + [f"kim-{a}-{m}" for a in range(4, 7) for m in range(2, 7)]
+    + [f"p1xp1-{a}-{b}" for a in range(1, 5) for b in range(1, 5)]
+    + [f"hirzebruch-e{e}-a{a}-b{a * e + c}"
+       for e in range(4) for a in range(1, 4) for c in range(1, 4)]
+    + [f"enriques-{h}" for h in range(8, 17, 2)]
+)
+
+# the reference search costs about 3 us a box point
+_REFERENCE_POINTS = 20_000
+
+
+@pytest.mark.parametrize("name", WINDOW_BUILTINS)
+def test_line_intervals_hold_every_solution_on_builtins(name):
+    """The reference search, one past the widest interval where that box
+    has at most _REFERENCE_POINTS points (every builtin of rank 4 or less)
+    and at the largest such bound otherwise, finds no solution outside the
+    intervals."""
+    S = builtin_surface(name)
+    rank = S.lattice.rank
+    intervals = S.line_intervals
+    assert intervals and intervals == _reference_intervals(S)
+    cover = 1 + max(max(-lo, hi) for lo, hi in intervals)
+    affordable = [b for b in range(1, cover + 1) if (2 * b + 1) ** (rank - 1) <= _REFERENCE_POINTS]
+    assert rank > 4 or affordable[-1] == cover
+    if affordable:
+        _assert_matches_reference(S, affordable[-1])
+
+
+@pytest.mark.parametrize("d, count", [(3, 72), (4, 40), (5, 20), (6, 8), (7, 2), (8, 0), (9, 0)])
+def test_bound_covering_the_intervals_finds_the_full_del_pezzo_sets(d, count):
+    S = del_pezzo(d)
+    bound = max(max(-lo, hi) for lo, hi in S.line_intervals)
+    solutions = enumerate_bounded(S, bound)
+    assert len(solutions) == count
+    assert enumerate_bounded(S, bound + 1) == solutions
+    assert {line_dual(S, D) for D in solutions} == set(solutions)
 
 
 def test_bounded_matches_reference_across_default_chunks_off_diagonal(skewed):
@@ -384,20 +495,62 @@ def _counting_box_work(monkeypatch):
     return draws, checks
 
 
-@pytest.mark.parametrize("name,bound", [
-    ("p2-1", 3), ("p2-3", 2), ("p1xp1-2-3", 6), ("del-pezzo-7", 2),
-    ("del-pezzo-5", 3), ("kim-4-3", 6), ("table1-row-3", 1), ("del-pezzo-4", 3),
-    ("table1-row-1", 400), ("enriques-10", 40), ("hirzebruch-e1-a1-b2", 30),
+def _clipped_box_points(S, bound):
+    """Points of the box the search draws: the product, over the coordinates
+    other than the pivot, of [-bound, bound] clipped to S.line_intervals,
+    or to nothing when the surface has no line bundle solution at all."""
+    w = S.gram_h
+    pivot = max(range(len(w)), key=lambda i: abs(w[i]))
+    intervals = S.line_intervals
+    if intervals is None:
+        intervals = [(-bound, bound)] * len(w)
+    widths = [max(0, min(hi, bound) - max(lo, -bound) + 1) for lo, hi in intervals]
+    if not (widths and all(widths)):
+        return 0
+    return prod(width for i, width in enumerate(widths) if i != pivot)
+
+
+@pytest.mark.parametrize("name,bound,points", [
+    ("p2-1", 3, 1), ("p2-3", 2, 1), ("del-pezzo-7", 2, 25), ("del-pezzo-5", 3, 2401),
+    ("table1-row-3", 1, 6561), ("del-pezzo-4", 3, 16807),
+    # clipped: the requested box holds 13, 2197, 801, 81, 61, 441, 1681 and
+    # 4,826,809 points
+    ("p1xp1-2-3", 6, 12), ("kim-4-3", 6, 1728), ("table1-row-1", 400, 8),
+    ("enriques-10", 40, 23), ("hirzebruch-e1-a1-b2", 30, 8), ("del-pezzo-7", 10, 100),
+    ("kim-4-2", 20, 144), ("del-pezzo-3", 6, 262144),
 ])
-def test_bounded_draws_the_whole_box_once(monkeypatch, name, bound):
-    """The box contract the benchmark's box_points count relies on: one
-    product per request, (2B+1)^(rank-1) points drawn and every one of them
-    consumed, and one line check per solution."""
+def test_bounded_draws_the_whole_box_once(monkeypatch, name, bound, points):
+    """The box contract the benchmark's box_points count relies on: at most
+    one product per request, drawing exactly the points of the box clipped
+    to S.line_intervals, every one of them consumed, and one line check per
+    solution.  Where the bound lies inside every interval the clipped box
+    is the requested one, (2B+1)^(rank-1) points."""
     draws, checks = _counting_box_work(monkeypatch)
     S = builtin_surface(name)
     solutions = enumerate_bounded(S, bound)
-    assert draws == [{"items": (2 * bound + 1) ** (S.lattice.rank - 1), "exhausted": True}]
+    assert _clipped_box_points(S, bound) == points
+    assert draws == [{"items": points, "exhausted": True}]
     assert sorted(checks, key=lambda D: D.coeffs) == solutions
+
+
+def test_bounded_draws_the_requested_box_without_intervals(monkeypatch):
+    # gram [[2, 1], [1, 2]] is positive definite, so P is not: no interval
+    # bounds the solutions, and the whole box [-5, 5] of the other
+    # coordinate is drawn
+    S = _surface([[2, 1], [1, 2]], [0, 0], [1, 1])
+    assert S.line_intervals is None
+    draws, checks = _counting_box_work(monkeypatch)
+    assert enumerate_bounded(S, 5) == reference_enumerate_bounded(S, 5)
+    assert draws == [{"items": 11, "exhausted": True}]
+
+
+def test_bounded_draws_nothing_when_no_solution_can_exist(monkeypatch):
+    # K^2 = 24 > 10 h^2 + 8 chi = 18: P(w) = R < 0 has no solution
+    S = _surface([[1, 0], [0, -1]], [5, 1], [1, 0])
+    assert S.line_intervals == ()
+    draws, checks = _counting_box_work(monkeypatch)
+    assert enumerate_bounded(S, 30) == [] == reference_enumerate_bounded(S, 30)
+    assert draws == [] and checks == []
 
 
 # ---------------------------------------------------------------------------
