@@ -3,9 +3,10 @@
 Times line_numeric_check, rank_numeric_check and IntersectionLattice.pair
 on the cubic surface (del-pezzo-3, rank 7) and on a rank-60 plane blow-up
 in a skewed basis; enumerate_rank2_exact on two rank-2 builtins;
-enumerate_bounded on four boxes, two of them far larger than the intervals
-that hold every solution, with the box points requested and drawn, and
-those drawn per second, in extra_info; and the computation of those
+enumerate_bounded on seven boxes, two of them far larger than the intervals
+that hold every solution and three the largest of the enumerate-box
+workload, with the box points requested and drawn, and those drawn per
+second, in extra_info; and the computation of those
 intervals, PolarizedSurface.line_intervals, at ranks 3, 7 and 9.  Each
 surface is built once, outside the timed call.
 Outside the test suite; run from the repository root with
@@ -79,6 +80,9 @@ def _drawn_box_points(monkeypatch, S, bound):
     ("kim-5-2", 15, 0),
     ("del-pezzo-3", 6, 72),
     ("table1-row-1", 1000, 2),
+    ("kim-5-6", 2, 0),
+    ("kim-6-6", 2, 0),
+    ("table1-row-3", 1, 0),
 ])
 def test_enumerate_bounded(benchmark, monkeypatch, name, bound, count):
     S = builtin_surface(name)

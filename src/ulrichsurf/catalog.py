@@ -506,6 +506,8 @@ def parse_surface(text: str) -> PolarizedSurface:
     name = _expect(doc, "name", str, default="")
     provenance = _expect(doc, "provenance", str, default="")
     gram_raw = _expect(doc, "gram", list, required=True)
+    if len(gram_raw) > MAX_RANK:
+        raise ValidationError("gram", f"more than {MAX_RANK} rows")
     # json.loads makes exact lists and ints, and bool fails the exact type
     # test, so two builtin passes accept a well-formed gram; the loop only
     # runs to name the first bad entry.  Every entry is then an exact int,
@@ -623,6 +625,12 @@ def builtin_names() -> list[tuple[str, str]]:
 # gram entries are not capped yet.
 MAX_DIGITS = 1000
 _INT_CAP = 10 ** MAX_DIGITS
+
+# A document's gram matrix has at most this many rows, checked before any
+# other work on it, so that the O(rank^3) work a request may start stays
+# bounded: PolarizedSurface.line_intervals, which enumerate --bound reads
+# before it can refuse a box, takes about 0.4 s at this rank.
+MAX_RANK = 100
 
 
 def _too_many_digits(field: str) -> ValidationError:

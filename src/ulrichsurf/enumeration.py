@@ -6,18 +6,20 @@ univariate quadratic in integers), the closed form on P^1 x P^1,
 and a bounded exhaustive search usable on any rank as an independent
 oracle.  The bounded search clips its box to the intervals that the Hodge
 index theorem proves hold every solution (PolarizedSurface.line_intervals)
-and visits every point of what is left once, in builtins; on a diagonal
-gram matrix, the case of planes blown up at points in their standard
-basis, one packed integer sum and one set lookup per box point decide both
-conditions, and otherwise the points that pass the linear condition are
-tested column by column.  Outputs are numerical candidates only and are
-always sorted lexicographically by coefficient vector.
+and visits every point of what is left once, in builtins, over at most
+three factors, each the pre-summed entries of a run of adjacent
+coordinates; on a diagonal gram matrix, the case of planes blown up at
+points in their standard basis, one sum of packed integers and one set
+lookup per box point decide both conditions, and otherwise the points
+that pass the linear condition are tested column by column.  Outputs are
+numerical candidates only and are always sorted lexicographically by
+coefficient vector.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, islice, product, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, floordiv, mod, mul, not_, sub
 
 from .errors import (
@@ -155,39 +157,47 @@ def enumerate_bounded(
 ) -> list[DivisorClass]:
     """Exhaustive search for solutions with all coefficients in [-bound, bound].
 
-    The linear equation is used to solve one coordinate (the pivot, where
-    |D.h| has its largest coefficient) exactly.  Raises OutOfRange for a
-    bound below 1, and BoxTooLarge, before any search work, when the tables
-    built for the scan, rank * (2 bound + 1) entries, would exceed
-    _TABLE_CAP, or when the requested box [-bound, bound]^(rank - 1) of the
-    other coordinates has more points than the ceiling.
-
-    Coordinate i, the pivot's included, then ranges over values_i, the
-    interval [-bound, bound] clipped to S.line_intervals[i], which holds
-    that coefficient of every solution (on a lattice without signature
-    (1, rank - 1) there is no such interval and values_i is [-bound, bound]).
-    The search visits every point y of the clipped box, the product of the
-    values_i of the other coordinates, once; it returns [] at once when
-    some values_i is empty or line_intervals is (), no solution at all.
+    Coordinate i ranges over values_i, the interval [-bound, bound]
+    clipped to S.line_intervals[i], which holds that coefficient of every
+    solution (on a lattice without signature (1, rank - 1) there is no
+    such interval and values_i is [-bound, bound]).  The search returns []
+    at once when some values_i is empty or line_intervals is (), no
+    solution at all.  The linear equation is used to solve one coordinate,
+    the pivot, exactly: among the coordinates where D.h has a nonzero
+    coefficient, the one with the most values_i, and among those the one
+    with the largest |coefficient|.  The search visits every point y of the
+    clipped box, the product of the values_i of the other coordinates,
+    once.  Raises OutOfRange for a bound below 1, and BoxTooLarge, before
+    any search work, when the tables built for the scan, one entry per
+    value in every values_i, would exceed _TABLE_CAP, or when the clipped
+    box has more points than the ceiling.
 
     Write k = gram . K and q_i(v) = g_ii v^2 - k_i v.  On a diagonal gram
     matrix the quadratic condition D.G.D - D.K = 2(h^2 - chi) is the sum of
     one share q_i(D_i) per coordinate, so the box scan decides it together
     with the linear one.  Three stages, all in exact integer arithmetic:
 
-    1. Every box point, in builtins.  itertools.product draws the clipped
-       box once, over the list of values_i of each non-pivot coordinate in
-       turn.  The entry for the value v packs two fields,
-       w_i v M + (q_i(v) - min q_i): every low field lies in [0, M) and M
-       exceeds the largest sum of them, so map(sum, ...) gives each point's
-       w.y and quadratic share in one integer, with no carry between the
-       fields.  A point is kept when that integer is one of the packed
-       targets, one per pivot value x in values_pivot whose required low
-       field lies in [0, M); that is exactly when x = (r - w.y) / w_pivot
-       is an integer in values_pivot and D is a solution.  On a gram matrix
-       with an off-diagonal entry every low field is zero and M = 1: the
-       targets are {r - w_pivot x : x in values_pivot} and the kept points
-       are the candidates whose pivot is an integer in values_pivot.
+    1. Every box point, in builtins.  The entry for the value v of a
+       non-pivot coordinate packs two fields, w_i v M + (q_i(v) - min q_i):
+       every low field lies in [0, M) and M exceeds the largest sum of
+       them, so the sum of one entry per coordinate gives the point's w.y
+       and quadratic share in one integer, with no carry between the
+       fields.  Each run of adjacent coordinates is pre-summed into one
+       factor, the sums a + b over the entries a of the run so far and b
+       of the next coordinate, a outer, while the factor holds at most
+       max(widest values_i, ceil(sqrt(N))) entries, N the number of box
+       points: no factor is larger, and there are at most 3 of them, since
+       any two adjacent factors together hold more than sqrt(N) points.
+       itertools.product draws the clipped box once, over the factors,
+       in the same lexicographic order as over the coordinates, and
+       map(sum, ...) adds 1 to 3 terms per point.  A point is kept when
+       that integer is one of the packed targets, one per pivot value x in
+       values_pivot whose required low field lies in [0, M); that is
+       exactly when x = (r - w.y) / w_pivot is an integer in values_pivot
+       and D is a solution.  On a gram matrix with an off-diagonal entry
+       every low field is zero and M = 1: the targets are
+       {r - w_pivot x : x in values_pivot} and the kept points are the
+       candidates whose pivot is an integer in values_pivot.
     2. Kept points, column-wise.  Their box indices are taken in chunks of
        at most _CHUNK and decoded in mixed radix, len(values_i) for
        coordinate i with the last coordinate varying fastest, as in
@@ -205,27 +215,28 @@ def enumerate_bounded(
     rank = S.lattice.rank
     w = S.gram_h
     r = (3 * S.h2 + S.hK) // 2
-    width = 2 * bound + 1
-    # the table check first: its count stays printable at any bound
-    if rank * width > _TABLE_CAP:
-        raise BoxTooLarge(
-            f"{rank * width} search table entries exceed cap {_TABLE_CAP}"
-        )
-    if width ** (rank - 1) > iteration_ceiling:
-        raise BoxTooLarge(
-            f"{width ** (rank - 1)} iterations exceed ceiling {iteration_ceiling}"
-        )
     intervals = S.line_intervals
     if intervals is None:
         intervals = ((-bound, bound),) * rank
     values = [range(max(lo, -bound), min(hi, bound) + 1) for lo, hi in intervals]
     if not (values and all(values)):
         return []
-    # Pivot on the largest coefficient of the linear form for best pruning;
-    # it is nonzero because h^2 > 0.
-    pivot = max(range(rank), key=lambda i: abs(w[i]))
+    # the table check first: its count stays printable at any bound
+    table_entries = sum(map(len, values))
+    if table_entries > _TABLE_CAP:
+        raise BoxTooLarge(
+            f"{table_entries} search table entries exceed cap {_TABLE_CAP}"
+        )
+    # the widest pivot leaves the fewest box points; some coefficient of
+    # the linear form is nonzero because h^2 > 0
+    pivot = max(
+        (i for i in range(rank) if w[i]), key=lambda i: (len(values[i]), abs(w[i]))
+    )
     w_pivot = w[pivot]
     others = [i for i in range(rank) if i != pivot]
+    points = prod(len(values[i]) for i in others)
+    if points > iteration_ceiling:
+        raise BoxTooLarge(f"{points} iterations exceed ceiling {iteration_ceiling}")
 
     # Only the data depends on the gram matrix: the shares q_i folded into
     # stage 1, and the residual terms and constant left to stage 2.
@@ -261,7 +272,15 @@ def enumerate_bounded(
         [w[i] * v * M + q - floors[i] for v, q in zip(values[i], shares[i])]
         for i in others
     ]
-    kept = compress(count(), map(targets.__contains__, map(sum, product(*packed))))
+    # runs of adjacent coordinates pre-summed into at most 3 factors
+    limit = max(max(map(len, packed), default=1), isqrt(points - 1) + 1)
+    factors = []
+    for entries in packed:
+        if factors and len(factors[-1]) * len(entries) <= limit:
+            factors[-1] = [a + b for a in factors[-1] for b in entries]
+        else:
+            factors.append(entries)
+    kept = compress(count(), map(targets.__contains__, map(sum, product(*factors))))
 
     # stage 2: the residual of D.G.D - D.K - 2(h^2 - chi), term by term
     solutions = []

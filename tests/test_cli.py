@@ -366,6 +366,26 @@ def test_wrong_field_type_is_named_in_json_terms(capsys, tmp_path, field, value,
     assert _validation_error(err, fmt) == message
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 1)], ids=["at-cap", "past-cap"])
+def test_document_rank_is_capped(capsys, tmp_path, extra, code, fmt):
+    # the plane blown up at MAX_RANK - 1 + extra points; past the cap the
+    # document is refused before any O(rank^2) work on it
+    rank = catalog.MAX_RANK + extra
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 1 if i == 0 else -1
+    doc = {"gram": gram, "K": [-3] + [1] * (rank - 1), "h": [10] + [-1] * (rank - 1)}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = invoke(capsys, "info", "--surface", str(path), "--format", fmt)
+    if code == 0:
+        assert (got, err) == (0, "") and out
+    else:
+        assert (got, out) == (1, "")
+        assert _validation_error(err, fmt) == f"gram: more than {catalog.MAX_RANK} rows"
+
+
 def test_anticanonical_document_gets_the_builtin_info(capsys, tmp_path):
     # del-pezzo-7 as a document that leaves non_special to its kind,
     # blowup_p2:anticanonical; info used to report N as unavailable while
@@ -389,15 +409,35 @@ def test_anticanonical_document_gets_the_builtin_info(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_box_with_oversized_tables_exits_1(capsys, fmt):
-    # one box point, but 2 * 10^6 + 1 table entries, some 0.5 GB; at
-    # --bound 10^9 the tables used to exhaust memory (exit 3, MemoryError)
+def test_box_with_oversized_tables_exits_1(capsys, tmp_path, fmt):
+    # the sum of two hyperbolic planes has signature (2, 2), so no interval
+    # clips its box: at --bound 250000 the tables would hold 4 * 500001
+    # entries, some 0.2 GB
+    doc = {"gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+           "K": [0, 0, 0, 0], "h": [1, 1, 0, 0]}
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(json.dumps(doc))
     code, out, err = invoke(
-        capsys, "enumerate", "--builtin", "p2-1", "--bound", "1000000", "--format", fmt
+        capsys, "enumerate", "--surface", str(path), "--bound", "250000", "--format", fmt
     )
     assert code == 1 and out == ""
     message = _validation_error(err, fmt, "BoxTooLarge")
-    assert message == "2000001 search table entries exceed cap 1000000"
+    assert message == "2000004 search table entries exceed cap 1000000"
+
+
+@pytest.mark.parametrize("name,bound,count", [
+    # one box point, whose requested tables of 2 * 10^6 + 1 entries used to
+    # be refused
+    ("p2-1", "1000000", 1),
+    # the 262,144 points of --bound 4 to 10, whose requested box of 23^6
+    # points used to be refused
+    ("del-pezzo-3", "11", 72),
+])
+def test_limits_count_the_clipped_box(capsys, name, bound, count):
+    code, out, err = invoke(
+        capsys, "enumerate", "--builtin", name, "--bound", bound, "--format", "json"
+    )
+    assert (code, err) == (0, "") and json.loads(out)["count"] == count
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -514,13 +554,13 @@ def test_largest_allowed_integers_are_answered(capsys, fmt):
         info, *_, clifford = map(json.loads, outputs)
         assert (info["h2"], info["hK"]) == (big * big, -3 * big)
         assert clifford["g"] == (3 * big - 4) * (3 * big - 5) // 2 - 9
-    # the box of del-pezzo-3 is refused by its tables, a printable count
+    # the box of del-pezzo-3 is clipped to its intervals, 262,144 points
     code, out, err = invoke(
         capsys, "enumerate", "--builtin", "del-pezzo-3", "--bound", NINES, "--format", fmt
     )
-    assert code == 1 and out == ""
-    message = _validation_error(err, fmt, "BoxTooLarge")
-    assert message == f"{7 * (2 * big + 1)} search table entries exceed cap 1000000"
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["count"] == 72
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -6,6 +6,7 @@ from math import ceil, floor, gcd, isqrt, prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from documents import moved_document
 from ulrichsurf import enumeration
 from ulrichsurf.catalog import (
     builtin_surface,
@@ -101,7 +102,8 @@ def test_exact_rejects_high_rank():
 
 
 def test_box_too_large():
-    with pytest.raises(BoxTooLarge):
+    # the count is of the clipped box, 8^6 points, not of the 201^6 requested
+    with pytest.raises(BoxTooLarge, match="^262144 iterations exceed ceiling 1000$"):
         enumerate_bounded(del_pezzo(3), 100, iteration_ceiling=1000)
 
 
@@ -420,26 +422,42 @@ def test_box_too_large_before_any_search_work(monkeypatch):
         enumerate_bounded(S, 100, iteration_ceiling=1000)
 
 
+# no interval clips this box: its limits count the requested one
+_UNCLIPPED = _surface([[2, 1], [1, 2]], [0, 0], [1, 1])
+
+
+def test_limits_count_the_requested_box_without_intervals():
+    assert _UNCLIPPED.line_intervals is None
+    with pytest.raises(BoxTooLarge, match="^11 iterations exceed ceiling 10$"):
+        enumerate_bounded(_UNCLIPPED, 5, iteration_ceiling=10)
+    assert enumerate_bounded(_UNCLIPPED, 5, iteration_ceiling=11) == []
+
+
 def test_table_cap_before_any_search_work(monkeypatch):
-    # p2-1 has a one-point box at every bound: only its tables grow
+    # a box of 2 B + 1 points, but 2 (2 B + 1) table entries
     def forbidden(*args, **kwargs):
         raise AssertionError("search work started")
 
     monkeypatch.setattr(enumeration, "product", forbidden)
     monkeypatch.setattr(enumeration, "line_numeric_check", forbidden)
-    with pytest.raises(BoxTooLarge, match="search table entries exceed cap"):
-        enumerate_bounded(p2_surface(1), enumeration._TABLE_CAP // 2)
+    bound = enumeration._TABLE_CAP // 4
+    with pytest.raises(BoxTooLarge, match=f"^{2 * (2 * bound + 1)} search table entries"):
+        enumerate_bounded(_UNCLIPPED, bound)
 
 
 def test_table_cap_admits_the_largest_shipped_box(monkeypatch):
     # table1-row-1 at B = 1000, the largest box in the README, the tests and
-    # the benchmark, needs 2 * 2001 = 4002 entries
+    # the benchmark, tabulates the 8 + 8 values of its intervals, as it does
+    # at every bound from 5 on; p2-1 tabulates one value at every bound
     S = builtin_surface("table1-row-1")
-    assert 2 * 2001 <= enumeration._TABLE_CAP
-    monkeypatch.setattr(enumeration, "_TABLE_CAP", 2 * 2001)
-    assert enumerate_bounded(S, 1000) == reference_enumerate_bounded(S, 1000)
-    with pytest.raises(BoxTooLarge):
-        enumerate_bounded(S, 1001)
+    monkeypatch.setattr(enumeration, "_TABLE_CAP", 8 + 8)
+    solutions = enumerate_bounded(S, 1000)
+    assert solutions == reference_enumerate_bounded(S, 1000)
+    assert enumerate_bounded(S, 10**9) == solutions
+    assert enumerate_bounded(p2_surface(1), 10**9) == [DivisorClass((0,))]
+    monkeypatch.setattr(enumeration, "_TABLE_CAP", 8 + 8 - 1)
+    with pytest.raises(BoxTooLarge, match="^16 search table entries exceed cap 15$"):
+        enumerate_bounded(S, 10**9)
 
 
 # ---------------------------------------------------------------------------
@@ -495,29 +513,41 @@ def _counting_box_work(monkeypatch):
     return draws, checks
 
 
-def _clipped_box_points(S, bound):
-    """Points of the box the search draws: the product, over the coordinates
-    other than the pivot, of [-bound, bound] clipped to S.line_intervals,
-    or to nothing when the surface has no line bundle solution at all."""
+def _drawn_widths(S, bound):
+    """The number of values of each coordinate the search draws, in order:
+    [-bound, bound] clipped to S.line_intervals, for every coordinate but
+    the pivot, the one with the most values among those where S.gram_h is
+    nonzero, the largest |S.gram_h[i]| breaking ties; None when some
+    coordinate has no value, or the surface no line bundle solution."""
     w = S.gram_h
-    pivot = max(range(len(w)), key=lambda i: abs(w[i]))
     intervals = S.line_intervals
     if intervals is None:
         intervals = [(-bound, bound)] * len(w)
     widths = [max(0, min(hi, bound) - max(lo, -bound) + 1) for lo, hi in intervals]
     if not (widths and all(widths)):
-        return 0
-    return prod(width for i, width in enumerate(widths) if i != pivot)
+        return None
+    pivot = max((i for i in range(len(w)) if w[i]), key=lambda i: (widths[i], abs(w[i])))
+    return [width for i, width in enumerate(widths) if i != pivot]
+
+
+def _clipped_box_points(S, bound):
+    """Points of the box the search draws: the product of _drawn_widths,
+    or 0 when there is none."""
+    widths = _drawn_widths(S, bound)
+    return 0 if widths is None else prod(widths)
 
 
 @pytest.mark.parametrize("name,bound,points", [
     ("p2-1", 3, 1), ("p2-3", 2, 1), ("del-pezzo-7", 2, 25), ("del-pezzo-5", 3, 2401),
     ("table1-row-3", 1, 6561), ("del-pezzo-4", 3, 16807),
-    # clipped: the requested box holds 13, 2197, 801, 81, 61, 441, 1681 and
-    # 4,826,809 points
-    ("p1xp1-2-3", 6, 12), ("kim-4-3", 6, 1728), ("table1-row-1", 400, 8),
-    ("enriques-10", 40, 23), ("hirzebruch-e1-a1-b2", 30, 8), ("del-pezzo-7", 10, 100),
+    # clipped: the requested box holds 13, 2197, 801, 81, 61, 441, 1681,
+    # 4,826,809 and 4913 points
+    ("p1xp1-2-3", 6, 9), ("kim-4-3", 6, 1728), ("table1-row-1", 400, 8),
+    ("enriques-10", 40, 5), ("hirzebruch-e1-a1-b2", 30, 5), ("del-pezzo-7", 10, 100),
     ("kim-4-2", 20, 144), ("del-pezzo-3", 6, 262144),
+    # pivoting on the widest coordinate: [-8, 8] clipped to 15, 16, 16 and
+    # 16 values draws 16^2 15 points, not 16^3
+    ("kim-5-3", 8, 3840),
 ])
 def test_bounded_draws_the_whole_box_once(monkeypatch, name, bound, points):
     """The box contract the benchmark's box_points count relies on: at most
@@ -551,6 +581,144 @@ def test_bounded_draws_nothing_when_no_solution_can_exist(monkeypatch):
     draws, checks = _counting_box_work(monkeypatch)
     assert enumerate_bounded(S, 30) == [] == reference_enumerate_bounded(S, 30)
     assert draws == [] and checks == []
+
+
+# ---------------------------------------------------------------------------
+# The factored draw: runs of adjacent coordinates pre-summed into factors
+
+
+def _recording_factors(monkeypatch):
+    """Wrap the box draw to record the lengths of the factors it draws."""
+    sizes = []
+    draw_box = enumeration.product
+
+    def recorded(*factors):
+        sizes.append([len(factor) for factor in factors])
+        return draw_box(*factors)
+
+    monkeypatch.setattr(enumeration, "product", recorded)
+    return sizes
+
+
+def _assert_factors_bounded(sizes, widths):
+    """The factors of one draw cover the box of the drawn widths; each holds
+    at most max(widest, ceil(sqrt(N))) entries, N the box's points; no two
+    adjacent ones would fit in one factor, so there are at most 3."""
+    points = prod(widths)
+    limit = max(max(widths, default=1), isqrt(points - 1) + 1)
+    assert prod(sizes) == points
+    assert max(sizes, default=1) <= limit
+    assert all(a * b > limit for a, b in zip(sizes, sizes[1:]))
+    assert len(sizes) <= 3
+
+
+def _weighted_blowup(a, K, m, extra=1, moves=()):
+    """The lattice diag(1, -a_1, ..., -a_n) with K = (-3, K_1, ..., K_n) and
+    h = (d, -m_1, ..., -m_n), d = isqrt(sum a_i m_i^2) + extra so that
+    h^2 > 0, written in the basis the unimodular moves (i, j, c),
+    b_i <- b_i + c b_j, make.  A large a_i with K_i = 0 and m_i = 0 makes
+    coordinate i narrow, a_i = 1 leaves it wide; the moves put entries off
+    the diagonal."""
+    n = len(a)
+    gram = [[0] * (n + 1) for _ in range(n + 1)]
+    gram[0][0] = 1
+    for i, ai in enumerate(a, 1):
+        gram[i][i] = -ai
+    d = isqrt(sum(ai * mi * mi for ai, mi in zip(a, m))) + extra
+    doc = moved_document({"gram": gram, "K": [-3, *K], "h": [d, *(-mi for mi in m)]}, moves)
+    return _surface(doc["gram"], doc["K"], doc["h"])
+
+
+# the largest bound on n drawn coordinates whose whole box, which the
+# reference scans, has at most 4000 points
+_REFERENCE_BOUNDS = {3: 7, 4: 3, 5: 2, 6: 1, 7: 1}
+
+
+@st.composite
+def wide_and_narrow_boxes(draw):
+    """(surface, bound): a _weighted_blowup of rank 4 to 8, so 3 to 7 drawn
+    coordinates, diagonal or skewed by up to two moves, with a bound that
+    keeps the reference's box small."""
+    n = draw(st.integers(3, 7))
+    # mostly 1, as on the plane blown up at points, where solutions abound
+    a = draw(st.lists(st.sampled_from([1, 1, 1, 2, 8, 50]), min_size=n, max_size=n))
+    # b.b + b.K = -a_i (1 + K_i) must be even
+    K = [draw(st.sampled_from([-1, 1])) if ai % 2 else 0 for ai in a]
+    m = draw(st.lists(st.sampled_from([0, 1, 1]), min_size=n, max_size=n))
+    move = st.tuples(st.integers(0, n), st.integers(0, n), st.sampled_from([1, -1]))
+    moves = draw(st.lists(move.filter(lambda t: t[0] != t[1]), max_size=2))
+    surface = _weighted_blowup(a, K, m, draw(st.integers(1, 2)), moves)
+    return surface, draw(st.integers(1, _REFERENCE_BOUNDS[n]))
+
+
+@given(case=wide_and_narrow_boxes())
+@settings(max_examples=80, deadline=None)
+# one drawn coordinate of 8 values beside two of 1: diagonal, and skewed
+@example(case=(_weighted_blowup([1, 50, 50], [1, 0, 0], [1, 0, 0]), 7))
+@example(case=(_weighted_blowup([1, 50, 50], [1, 0, 0], [1, 0, 0], moves=[(2, 1, 1)]), 7))
+# 6, 7 and 1 values, skewed; 6 and 1, 1, 1 at rank 5; 3 and six 1s at rank 8
+@example(case=(_weighted_blowup([1, 1, 50], [1, 1, 0], [1, 1, 0], moves=[(1, 2, 1)]), 7))
+@example(case=(_weighted_blowup([1, 50, 50, 50], [1, 0, 0, 0], [1, 0, 0, 0]), 3))
+@example(case=(_weighted_blowup([1] + [50] * 6, [1] + [0] * 6, [1] + [0] * 6), 1))
+# equal widths: the box is not clipped at bound 1, 3^7 points in 2 factors
+@example(case=(_weighted_blowup([1] * 7, [1] * 7, [1] * 7), 1))
+# solutions whose coordinates differ inside a factor, so that a factor
+# summed in another order finds other points: diagonal, 6 6 (6 3) and
+# (5 5) (5 5) 5 values, and del-pezzo-5 skewed, (7 7) (7 7)
+@example(case=(_weighted_blowup([1, 1, 1, 2], [1, 1, 1, 0], [1, 1, 1, 0]), 3))
+@example(case=(_weighted_blowup([1, 1, 2, 1, 1], [1, 1, 0, 1, 1], [1] * 5), 2))
+@example(case=(_weighted_blowup([1] * 4, [1] * 4, [1] * 4, moves=[(2, 3, 1), (4, 1, -1)]), 3))
+def test_factored_draw_matches_reference(case):
+    """One exhausted draw of exactly the clipped box, over factors within
+    their bound, finds the reference's solutions."""
+    surface, bound = case
+    with pytest.MonkeyPatch.context() as patch:
+        draws, checks = _counting_box_work(patch)
+        sizes = _recording_factors(patch)
+        solutions = enumerate_bounded(surface, bound)
+    assert solutions == reference_enumerate_bounded(surface, bound)
+    assert sorted(checks, key=lambda D: D.coeffs) == solutions
+    widths = _drawn_widths(surface, bound)
+    if widths is None:
+        assert draws == sizes == []
+        return
+    assert draws == [{"items": prod(widths), "exhausted": True}]
+    (factor_sizes,) = sizes
+    _assert_factors_bounded(factor_sizes, widths)
+
+
+def _largest_admitted_width(rank):
+    """The widest box 2 B + 1 that the table cap and the default ceiling
+    admit on a lattice whose box no interval clips."""
+    ceiling = enumeration.DEFAULT_ITERATION_CEILING
+    width = min(enumeration._TABLE_CAP // rank, round(ceiling ** (1 / (rank - 1))) + 1)
+    while width % 2 == 0 or width ** (rank - 1) > ceiling:
+        width -= 1
+    return width
+
+
+@pytest.mark.parametrize("rank", range(2, 10))
+def test_factors_stay_small_at_the_largest_admitted_box(monkeypatch, rank):
+    # the identity gram is positive definite: no interval clips its box,
+    # and the pivot is the one coordinate where D.h = D_0 is nonzero
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    S = _surface(identity, [1] * rank, [1] + [0] * (rank - 1))
+    assert S.line_intervals is None
+    width = _largest_admitted_width(rank)
+    bound = width // 2
+    sizes = []
+
+    def recorded(*factors):
+        sizes.append([len(factor) for factor in factors])
+        return iter(())
+
+    monkeypatch.setattr(enumeration, "product", recorded)
+    assert enumerate_bounded(S, bound) == []
+    (factor_sizes,) = sizes
+    _assert_factors_bounded(factor_sizes, [width] * (rank - 1))
+    assert max(factor_sizes) < enumeration._TABLE_CAP
+    with pytest.raises(BoxTooLarge):
+        enumerate_bounded(S, bound + 1)
 
 
 # ---------------------------------------------------------------------------
